@@ -79,6 +79,13 @@ class UsageError(ValueError):
     pass
 
 
+def _number_list(text: str, convert, flag: str) -> tuple:
+    try:
+        return tuple(convert(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
+
+
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
@@ -291,7 +298,7 @@ def cmd_concentration(args) -> int:
         rows = [["eta", "probability"]] + [[k_, str(v)] for k_, v in sorted(dist.items())]
         _emit(args, report, csv_rows=rows)
         return 0 if verdict else 1
-    grid = tuple(float(b) for b in args.beta_grid.split(",")) if args.beta_grid else None
+    grid = _number_list(args.beta_grid, float, "--beta-grid") if args.beta_grid else None
     rep = monte_carlo_eta(g, params, trials=args.trials, seed=args.seed, t=args.t, beta_grid=grid)
     report = {"mode": "monte-carlo", "seed": args.seed, "report": rep}
     rows = [["eta", "count"]] + [[k_, v] for k_, v in sorted(rep.eta_histogram.items())]
@@ -314,7 +321,10 @@ def _load_threshold_config(path: str | None, params: Params, t: int) -> Threshol
     if path is None:
         return config
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
     fields = set(ThresholdConfig.__dataclass_fields__)
@@ -322,14 +332,17 @@ def _load_threshold_config(path: str | None, params: Params, t: int) -> Threshol
     for key, val in raw.items():
         if key not in fields:
             raise UsageError(f"unknown config key {key!r}")
-        if key in ("small_alpha_cut", "w1_cut", "beta_large_cut"):
-            updates[key] = Fraction(val)
-        elif key == "gamma":
-            updates[key] = float(val)
-        elif key == "one_set_rule":
-            updates[key] = str(val)
-        else:
-            updates[key] = int(val)
+        try:
+            if key in ("small_alpha_cut", "w1_cut", "beta_large_cut"):
+                updates[key] = Fraction(val)
+            elif key == "gamma":
+                updates[key] = float(val)
+            elif key == "one_set_rule":
+                updates[key] = str(val)
+            else:
+                updates[key] = int(val)
+        except (ArithmeticError, TypeError, ValueError):
+            raise UsageError(f"config key {key!r}: bad value {val!r}") from None
     return replace(config, **updates)
 
 
@@ -437,7 +450,7 @@ def cmd_verify_theorem3(args) -> int:
     params = Params(n=args.n, k=args.k, s=args.s)
     b = args.b
     if args.thresholds:
-        thresholds = tuple(int(x) for x in args.thresholds.split(","))
+        thresholds = _number_list(args.thresholds, int, "--thresholds")
     else:
         thresholds = tuple(3 * (args.s + 1) * i - 1 for i in range(b, args.k + 1))
     rng = random.Random(args.seed)

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from .core import (
     FamilyTuple,
     Params,
@@ -467,7 +465,10 @@ def audit_inequalities(
 
     Integer and rational steps are exact; gamma (and e) enter as doubles with
     a documented 1e-9 relative slack.  ``checks`` selects by name; ``ranges``
-    overrides the quantifier ranges for the swept chains (keys "j", "m", "r").
+    overrides the quantifier ranges of the chains quantified over an integer
+    (keys "j", "m", "r").  Each of those chains is linear, concave or monotone
+    in its variable, so exact checks at the two range endpoints decide every
+    value in the range, at any s.
     """
     if s < 2:
         raise ShapeError(f"audit_inequalities: need s >= 2, got {s}")
@@ -566,7 +567,9 @@ def audit_inequalities(
         j_lo, j_hi = ranges.get("j", (-(-sp1 // 6), sp1))
         ok = t >= 1 and 3 * (3 * s + j_hi) <= 2 * t and gf + 1 < Fraction(sp1, 11)
         worst_margin = math.inf
-        # Exact rational checks at the range endpoints...
+        # b - a = 3j*gamma and st - c are linear in j, c - b = j(2t/3 - 3s - j)
+        # is concave, and j*t/(3(3s+3+4j)) increases with j while 3s+3+4j > 0
+        # (a <= b forces j >= 0 at both ends), so the endpoints decide every j.
         for j in {j_lo, j_hi}:
             a_j = (3 * s + 3 + j) * (j + 1 + gf) + (s - j) * t
             b_j = st - j * t + (3 * s + j) * j + (3 * s + 3 + 4 * j) * (1 + gf)
@@ -574,20 +577,9 @@ def audit_inequalities(
             ratio = Fraction(j * t, 3 * (3 * s + 3 + 4 * j))
             ok = ok and b_j - a_j == 3 * j * gf and b_j <= c_j and c_j < st
             ok = ok and ratio > Fraction(sp1, 11)
-        # ...and a float sweep over the whole quantified range.
-        chunk = 1 << 19
-        g = float(gf)
-        for lo in range(j_lo, j_hi + 1, chunk):
-            j = np.arange(lo, min(lo + chunk, j_hi + 1), dtype=np.float64)
-            a_v = (3 * s + 3 + j) * (j + 1 + g) + (s - j) * t
-            b_v = st - j * t + (3 * s + j) * j + (3 * s + 3 + 4 * j) * (1 + g)
-            c_v = st - j * t / 3 + (3 * s + 3 + 4 * j) * (1 + g)
-            ratio_v = j * t / (3 * (3 * s + 3 + 4 * j))
-            ok = ok and bool(
-                (a_v <= b_v).all() and (b_v <= c_v).all() and (c_v < st).all()
-            )
-            ok = ok and bool((ratio_v > sp1 / 11).all())
-            worst_margin = min(worst_margin, float((st - c_v).min()))
+            if j_lo <= j_hi:  # an empty range quantifies over nothing
+                ok = ok and a_j <= b_j
+                worst_margin = min(worst_margin, float(st - c_j))
         add(
             "slice-indexed",
             ok,
@@ -617,15 +609,13 @@ def audit_inequalities(
         cap = Fraction(sp1, 6) + 2 * gf < Fraction(sp1, 3)
         support = t >= 4 * s + 4
         ok = ident and cap and support
-        if s > 10**8:
-            raise ShapeError("xi-per-family sweep would overflow int64 at this s")
-        chunk = 1 << 19
-        for lo in range(m_lo, m_hi + 1, chunk):
-            m = np.arange(lo, min(lo + chunk, m_hi + 1), dtype=np.int64)
+        # direct == folded is a polynomial identity in m and relaxed - folded
+        # = m(s+1-m) is concave, so the endpoints decide every m.
+        for m in {m_lo, m_hi} if m_lo <= m_hi else ():
             direct = (4 * s + 4 - m) * (sp1 - m) + (m - 1) * t
             folded = st - (sp1 - m) * (t - 4 * s - 4 + m)
             relaxed = st - (sp1 - m) * (t - 4 * s - 4)
-            ok = ok and bool((direct == folded).all() and (folded <= relaxed).all())
+            ok = ok and direct == folded <= relaxed
         add(
             "xi-per-family",
             ok,
@@ -641,13 +631,12 @@ def audit_inequalities(
         ok = bool(support)
         r_lo, r_hi = ranges.get("r", (1, max(1, sp1 // 6)))
         # Quantifier floor: with u = r (worst case), the available-position
-        # count s1 - R + 1 still clears (s+1)/2; sweep the scaled-by-6 margin.
-        chunk = 1 << 19
-        for lo in range(r_lo, r_hi + 1, chunk):
-            r_v = np.arange(lo, min(lo + chunk, r_hi + 1), dtype=np.int64)
-            u_v = r_v
-            margin6 = (4 * sp1 - 6 * u_v) - (sp1 - 6 * r_v + 6) + 6 - 3 * sp1
-            ok = ok and bool((margin6 >= 0).all())
+        # count s1 - R + 1 still clears (s+1)/2.  The scaled-by-6 margin is
+        # linear in r, so the endpoints decide every r.
+        for r in {r_lo, r_hi} if r_lo <= r_hi else ():
+            u = r
+            margin6 = (4 * sp1 - 6 * u) - (sp1 - 6 * r + 6) + 6 - 3 * sp1
+            ok = ok and margin6 >= 0
         # Corner evaluations of the full chain with exact arithmetic.
         worst = None
         ceil_sixth = -(-sp1 // 6)

@@ -1,13 +1,19 @@
 """End-to-end command tests: exit codes, report shapes, determinism.
 
 Everything drives ``run(argv)`` in-process; stdout/stderr go through capsys
-and files through tmp_path, so the suite never shells out.
+and files through tmp_path.  Only the import-cost check shells out, because
+it needs a fresh interpreter.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import emcverify
 from emcverify.cli import run
 from emcverify.core import SetFamily, read_family, write_family
 
@@ -375,6 +381,32 @@ class TestProcedureCmd:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run(["procedure", "--tuple", str(empty), "--matching", matching]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["procedure", "--config", "{not json"],
+    ["procedure", "--config", '{"w1_cut": "abc"}'],
+    ["concentration", "--n", "6", "--k", "2", "--s", "1", "--beta-grid", "x"],
+    ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--thresholds", "a,b"],
+], ids=["config-not-json", "config-bad-value", "beta-grid", "thresholds"])
+def test_malformed_value_is_usage_error(capsys, tuple_dir, tmp_path, argv):
+    d, matching = tuple_dir
+    if argv[0] == "procedure":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(argv[2])
+        argv = ["procedure", "--tuple", str(d), "--matching", matching, "--config", str(cfg)]
+    elif argv[0] == "concentration":
+        argv = argv + ["--in", matching]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(emcverify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import emcverify.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestHarness:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from emcverify import engine
 from emcverify.core import Params, SetFamily, ShapeError, enumerate_ksets
 from emcverify.engine import (
     CHECK_NAMES,
@@ -318,6 +319,11 @@ class TestAudit:
             assert [c.name for c in rep.checks] == list(CHECK_NAMES)
             assert rep.all_passed, rep.failing()
 
+    def test_full_audit_at_1e9(self):
+        rep = audit_inequalities(10**9, 2)
+        assert [c.name for c in rep.checks] == list(CHECK_NAMES)
+        assert rep.all_passed, rep.failing()
+
     def test_failing_names_at_small_s(self):
         rep = audit_inequalities(50, 2)
         assert not rep.all_passed
@@ -346,3 +352,90 @@ class TestAudit:
     def test_scan_down_factor_validation(self):
         with pytest.raises(ShapeError):
             audit_scan_down(100, 2, factor=1)
+
+
+def _exhaustive_chains(rep, ranges):
+    """Verdicts of the three integer-quantified chains, evaluated at every value."""
+    s, t, gf = rep.s, rep.t, Fraction(rep.gamma)
+    sp1, st = s + 1, s * rep.t
+    out = {}
+
+    j_lo, j_hi = ranges.get("j", (-(-sp1 // 6), sp1))
+    ok = t >= 1 and gf + 1 < Fraction(sp1, 11)
+    margins = []
+    for j in range(j_lo, j_hi + 1):
+        a = (3 * s + 3 + j) * (j + 1 + gf) + (s - j) * t
+        b = st - j * t + (3 * s + j) * j + (3 * s + 3 + 4 * j) * (1 + gf)
+        c = st - Fraction(j * t, 3) + (3 * s + 3 + 4 * j) * (1 + gf)
+        ok = ok and 3 * (3 * s + j) <= 2 * t and a <= b <= c < st and b - a == 3 * j * gf
+        ok = ok and Fraction(j * t, 3 * (3 * s + 3 + 4 * j)) > Fraction(sp1, 11)
+        margins.append(float(st - c))
+    out["slice-indexed"] = (ok, f"min margin {min(margins):.6g}")
+
+    m_lo, m_hi = ranges.get("m", (1, sp1))
+    ok = Fraction(sp1, 6) + 2 * gf < Fraction(sp1, 3) and t >= 4 * s + 4
+    for m in range(m_lo, m_hi + 1):
+        direct = (4 * s + 4 - m) * (sp1 - m) + (m - 1) * t
+        ok = ok and direct == st - (sp1 - m) * (t - 4 * s - 4 + m)
+        ok = ok and m * (sp1 - m) >= 0
+    out["xi-per-family"] = (ok, None)
+
+    # Every (r, R, s1) of the good-event chain, not only its corners.
+    r_lo, r_hi = ranges.get("r", (1, max(1, sp1 // 6)))
+    d = t - 5 * s - 5
+    half = Fraction(sp1, 2)
+    ok = d >= 2 * sp1 + 2
+    for r in range(r_lo, r_hi + 1):
+        ok = ok and (4 * sp1 - 6 * r) - (sp1 - 6 * r + 6) + 6 - 3 * sp1 >= 0
+        for big_r in range(1, max(1, -(-sp1 // 6) - r) + 1):
+            for s1 in range(max(big_r, -(-2 * sp1 // 3) - r), sp1 + 1):
+                val1 = (big_r - 1) * (st + sp1**2) + (s1 - big_r + 1) * (st - (big_r + r - 1) * d)
+                val3 = s1 * st + (big_r - 1) * sp1**2 - half * (big_r + r - 1) * d
+                val4 = s1 * st - (big_r - 1) * half * (d - 2 * sp1) - r * half * d
+                val5 = s1 * st - (big_r + r - 1) * sp1
+                ok = ok and s1 - big_r + 1 >= half and val1 <= val3 == val4 <= val5 <= s1 * st - sp1
+    out["xi-final"] = (ok, None)
+    return out
+
+
+EXHAUSTIVE_CHECKS = ["slice-indexed", "xi-per-family", "xi-final"]
+
+
+class TestAuditEndpointsMatchExhaustive:
+    """The audit checks quantified chains at range endpoints only; at desk
+    scale every value of the range is cheap to check directly."""
+
+    def _compare(self, s, k, ranges):
+        rep = audit_inequalities(s, k, checks=EXHAUSTIVE_CHECKS, ranges=ranges)
+        oracle = _exhaustive_chains(rep, ranges)
+        for check in rep.checks:
+            passed, lhs = oracle[check.name]
+            assert check.passed == passed, (s, k, ranges, check.name)
+            if lhs is not None:
+                assert check.lhs == lhs, (s, k, ranges, check.name)
+        return {c.name: c.passed for c in rep.checks}
+
+    # With the true gamma = 10 sqrt(t ln s) the gamma-dependent guards fail
+    # at every desk-scale s, so a small gamma is also used to let the
+    # quantified parts decide the verdict.
+    @pytest.mark.parametrize("gamma", [None, 0.5])
+    def test_default_ranges(self, monkeypatch, gamma):
+        if gamma is not None:
+            monkeypatch.setattr(engine, "gamma_threshold", lambda t, s: gamma)
+        for s in range(2, 60):
+            for k in (2, 3):
+                self._compare(s, k, {})
+
+    def test_failing_overrides(self, monkeypatch):
+        monkeypatch.setattr(engine, "gamma_threshold", lambda t, s: 0.5)
+        for s in (20, 40, 59):
+            sp1 = s + 1
+            for k in (2, 3):
+                assert all(self._compare(s, k, {}).values())
+                for name, ranges in (
+                    ("slice-indexed", {"j": (-2, sp1)}),
+                    ("slice-indexed", {"j": (-(sp1 // 2), sp1 // 6)}),
+                    ("xi-per-family", {"m": (1, sp1 + 1)}),
+                    ("xi-per-family", {"m": (-1, sp1 + 3)}),
+                ):
+                    assert not self._compare(s, k, ranges)[name], (s, k, ranges)
