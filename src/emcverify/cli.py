@@ -29,7 +29,9 @@ from .concentration import (
 from .constructions import (
     build_extremal,
     build_gap_set,
+    classic_max_bounded_nu,
     lemma3_bound,
+    rainbow_max_min_size,
     size_A_layered,
     size_extremal,
 )
@@ -42,13 +44,14 @@ from .core import (
     elements_from_mask,
     family_to_json,
     interval_mask,
-    mask_from_elements,
     read_family,
     validate_family_tuple,
     write_family,
 )
 from .densities import (
+    check_theorem3_args,
     local_lym_ratio,
+    meets_thresholds,
     random_condition_family,
     verify_lemma4,
     verify_theorem3,
@@ -64,7 +67,6 @@ from .engine import (
 from .matchings import find_rainbow, matching_number, sample_matching
 from .transforms import (
     bt_check,
-    enumerate_shifted_families,
     kk_min_shadow_size,
     lower_shadow,
     shift_closure,
@@ -401,24 +403,29 @@ def cmd_audit(args) -> int:
 # --- verify family ----------------------------------------------------------
 
 
-def cmd_verify_lemma4(args) -> int:
-    params = Params(n=args.n, k=args.k, s=args.s)
+def _verify_trials(args, params: Params, statement: str, check, accept=None, **fields) -> int:
+    """Run ``check`` on ``args.trials`` seeded families drawn under ``accept``.
+
+    ``check(fam)`` returns the exact slack and, for a false verdict, the
+    fields that describe the failure (None otherwise).
+    """
     rng = random.Random(args.seed)
     cap = min(binomial(args.n, args.k), args.max_size)
     failures = []
-    slacks: list[int] = []
+    slacks = []
     for trial in range(args.trials):
         size = rng.randint(1, cap)
-        fam = random_condition_family(params, size, rng)
-        lhs, rhs, ok = verify_lemma4(fam, args.s)
-        slacks.append(lhs - rhs)
-        if not ok:
-            failures.append({"trial": trial, "size": size, "lhs": lhs, "rhs": rhs})
+        fam = random_condition_family(params, size, rng, accept=accept)
+        slack, failure = check(fam)
+        slacks.append(slack)
+        if failure is not None:
+            failures.append({"trial": trial, "size": size, **failure})
     report = {
-        "statement": "weighted shadow bound",
+        "statement": statement,
         "n": args.n,
         "k": args.k,
         "s": args.s,
+        **fields,
         "trials": args.trials,
         "seed": args.seed,
         "failures": failures,
@@ -429,21 +436,14 @@ def cmd_verify_lemma4(args) -> int:
     return 0 if not failures else 1
 
 
-def _sample_threshold_family(n, k, size, rng, b, thresholds, max_tries=1_000_000):
-    chosen: set[int] = set()
-    population = list(range(1, n + 1))
-    tries = 0
-    while len(chosen) < size:
-        tries += 1
-        if tries > max_tries:
-            raise ShapeError(f"threshold sampler: exceeded {max_tries} tries at size {size}")
-        combo = sorted(rng.sample(population, k))
-        if not any(
-            sum(1 for e in combo if e <= thresholds[i - b]) >= i for i in range(b, k + 1)
-        ):
-            continue
-        chosen.add(mask_from_elements(combo))
-    return SetFamily.from_masks(n, k, chosen)
+def cmd_verify_lemma4(args) -> int:
+    params = Params(n=args.n, k=args.k, s=args.s)
+
+    def check(fam):
+        lhs, rhs, ok = verify_lemma4(fam, args.s)
+        return lhs - rhs, None if ok else {"lhs": lhs, "rhs": rhs}
+
+    return _verify_trials(args, params, "weighted shadow bound", check)
 
 
 def cmd_verify_theorem3(args) -> int:
@@ -453,76 +453,22 @@ def cmd_verify_theorem3(args) -> int:
         thresholds = _number_list(args.thresholds, int, "--thresholds")
     else:
         thresholds = tuple(3 * (args.s + 1) * i - 1 for i in range(b, args.k + 1))
-    rng = random.Random(args.seed)
-    cap = min(binomial(args.n, args.k), args.max_size)
-    failures = []
-    slacks: list[Fraction] = []
-    for trial in range(args.trials):
-        size = rng.randint(1, cap)
-        fam = _sample_threshold_family(params.n, params.k, size, rng, b, thresholds)
+    check_theorem3_args(args.k, b, thresholds)
+
+    def check(fam):
         beta, ok = verify_theorem3(fam, b, thresholds)
-        slacks.append(len(lower_shadow(fam, b)) - beta * len(fam))
-        if not ok:
-            failures.append({"trial": trial, "size": size, "beta": str(beta)})
-    report = {
-        "statement": "depth-b shadow bound",
-        "n": args.n,
-        "k": args.k,
-        "s": args.s,
-        "b": b,
-        "thresholds": list(thresholds),
-        "trials": args.trials,
-        "seed": args.seed,
-        "failures": failures,
-        "min_slack": min(slacks) if slacks else None,
-        "all_ok": not failures,
-    }
-    _emit(args, report)
-    return 0 if not failures else 1
+        slack = len(lower_shadow(fam, b)) - beta * len(fam)
+        return slack, None if ok else {"beta": str(beta)}
+
+    return _verify_trials(
+        args, params, "depth-b shadow bound", check,
+        accept=lambda mask: meets_thresholds(mask, b, thresholds),
+        b=b, thresholds=list(thresholds),
+    )
 
 
-def classic_max_bounded_nu(n: int, k: int, s: int) -> int:
-    """Largest family size among shifted families with matching number <= s.
-
-    Shifting preserves size and never raises the matching number, so this
-    maximum equals the maximum over all families.
-    """
-    best = 0
-    for fam in enumerate_shifted_families(n, k):
-        if len(fam) > best and matching_number(fam) <= s:
-            best = len(fam)
-    return best
-
-
-def rainbow_max_min_size(n: int, k: int, s: int) -> int:
-    """Largest min-size over cross-dependent (s+1)-tuples of shifted families.
-
-    Tuples are scanned as nondecreasing index sequences over the size-sorted
-    shifted list; once the current family's size cannot beat the best min,
-    the whole branch is pruned (sizes only shrink down the list).
-    """
-    fams = sorted(enumerate_shifted_families(n, k), key=len, reverse=True)
-    best = 0
-    chosen: list[SetFamily] = []
-
-    def rec(start: int) -> None:
-        nonlocal best
-        for i in range(start, len(fams)):
-            if len(fams[i]) <= best:
-                break
-            chosen.append(fams[i])
-            if len(chosen) == s + 1:
-                if not find_rainbow(tuple(chosen)).complete:
-                    best = len(fams[i])
-            else:
-                rec(i)
-            chosen.pop()
-
-    rec(0)
-    return best
-
-
-def _emc_grid(args, rainbow: bool) -> int:
+def cmd_verify_emc(args) -> int:
+    rainbow = args.rainbow
     rows = []
     all_ok = True
     for k in range(1, args.k_max + 1):
@@ -553,14 +499,6 @@ def _emc_grid(args, rainbow: bool) -> int:
     csv_rows = [header] + [[r.get(h, "") for h in header] for r in rows]
     _emit(args, report, csv_rows=csv_rows)
     return 0 if all_ok else 1
-
-
-def cmd_verify_emc(args) -> int:
-    return _emc_grid(args, rainbow=False)
-
-
-def cmd_verify_rainbow_emc(args) -> int:
-    return _emc_grid(args, rainbow=True)
 
 
 def cmd_verify_local_lym(args) -> int:
@@ -597,6 +535,11 @@ def _int_any_base(text: str) -> int:
     return int(text, 0)
 
 
+def _required_ints(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", type=int, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_int_any_base, default=DEFAULT_SEED,
@@ -610,9 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", parents=[common],
                        help="extremal families and gap sets")
     p.add_argument("--kind", required=True, choices=("A", "B", "gap-dense", "gap-sparse"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    _required_ints(p, "n", "k", "s")
     p.add_argument("--size-only", action="store_true")
     p.add_argument("--family-out", "--emit", dest="family_out", default=None,
                    help="also write the family file here")
@@ -643,9 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_rainbow)
 
     p = sub.add_parser("sample-matching", parents=[common], help="seeded uniform block matching")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    _required_ints(p, "n", "k", "s")
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--family-out", default=None)
     p.set_defaults(handler=cmd_sample_matching)
@@ -653,9 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("concentration", parents=[common],
                        help="intersection-count distribution, exact or sampled")
     p.add_argument("--in", "--family", dest="input", required=True, help="block family file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    _required_ints(p, "n", "k", "s")
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--beta-grid", default=None, help="comma-separated beta values")
@@ -672,8 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_procedure)
 
     p = sub.add_parser("audit", parents=[common], help="exact arithmetic audit at scale")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _required_ints(p, "s", "k")
     p.add_argument("--checks", default=None,
                    help=f"comma-separated subset of: {','.join(CHECK_NAMES)}")
     p.add_argument("--scan-down", action="store_true")
@@ -685,34 +621,23 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="what")
 
     p = vsub.add_parser("lemma4", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    _required_ints(p, "n", "k", "s")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-size", type=int, default=60)
     p.set_defaults(handler=cmd_verify_lemma4)
 
     p = vsub.add_parser("theorem3", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    _required_ints(p, "n", "k", "s")
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--thresholds", default=None, help="comma-separated prefix lengths")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-size", type=int, default=60)
     p.set_defaults(handler=cmd_verify_theorem3)
 
-    p = vsub.add_parser("emc", parents=[common])
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--s-max", type=int, required=True)
-    p.set_defaults(handler=cmd_verify_emc)
-
-    p = vsub.add_parser("rainbow-emc", parents=[common])
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--s-max", type=int, required=True)
-    p.set_defaults(handler=cmd_verify_rainbow_emc)
+    for name, rainbow in (("emc", False), ("rainbow-emc", True)):
+        p = vsub.add_parser(name, parents=[common])
+        _required_ints(p, "n-max", "k-max", "s-max")
+        p.set_defaults(handler=cmd_verify_emc, rainbow=rainbow)
 
     p = vsub.add_parser("local-lym", parents=[common])
     p.add_argument("--in", dest="input", required=True)
@@ -738,13 +663,7 @@ def run(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
-    except FamilyFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FamilyFormatError, UsageError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FamilyTuple, Params, SetFamily, ShapeError, binomial, validate_family_tuple
-from .densities import alpha_profile, slice_family
+from .densities import alpha_profile, slice_partition
 from .matchings import enumerate_matchings, sample_matching
 
 
@@ -172,10 +172,7 @@ def event_probe(
         gamma = gamma_threshold(t_val, s) if s >= 2 else 0.0
     profile = alpha_profile(families)
     # Slice member sets, indexed [i][j-1]; slices live inside X already.
-    slices = [
-        [set(slice_family(fam, j, s).members) for j in range(1, s + 2)]
-        for fam in families
-    ]
+    slices = [[set(part.members) for part in slice_partition(fam, s)[1:]] for fam in families]
     e1_hits = 0
     e2_hits = 0
     gamma_frac = Fraction(gamma)

@@ -7,6 +7,9 @@ which one is larger depends on how n compares to roughly (k+1)(s+1).
 The gap sets are arithmetic progressions used to certify that families made
 of far-apart elements are small: the dense one has step 3(s+1)/4 (only
 defined when that is an integer), the sparse one has step 3(s+1).
+
+The brute-force maxima over shifted families check the closed-form sizes at
+desk scale.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import Params, SetFamily, ShapeError, binomial, mask_from_elements
-
-_MATERIALIZATION_CAP = 50_000_000
+from .core import MATERIALIZATION_CAP, Params, SetFamily, ShapeError, binomial, mask_from_elements
+from .matchings import find_rainbow, matching_number
+from .transforms import enumerate_shifted_families
 
 
 def _require_kind(kind: str) -> str:
@@ -37,6 +40,47 @@ def size_extremal(params: Params, kind: str) -> int:
     return binomial((s + 1) * k - 1, k)
 
 
+def classic_max_bounded_nu(n: int, k: int, s: int) -> int:
+    """Largest family size among shifted families with matching number <= s.
+
+    Shifting preserves size and never raises the matching number, so this
+    maximum equals the maximum over all families.
+    """
+    best = 0
+    for fam in enumerate_shifted_families(n, k):
+        if len(fam) > best and matching_number(fam) <= s:
+            best = len(fam)
+    return best
+
+
+def rainbow_max_min_size(n: int, k: int, s: int) -> int:
+    """Largest min-size over cross-dependent (s+1)-tuples of shifted families.
+
+    Tuples are scanned as nondecreasing index sequences over the size-sorted
+    shifted list; once the current family's size cannot beat the best min,
+    the whole branch is pruned (sizes only shrink down the list).
+    """
+    fams = sorted(enumerate_shifted_families(n, k), key=len, reverse=True)
+    best = 0
+    chosen: list[SetFamily] = []
+
+    def rec(start: int) -> None:
+        nonlocal best
+        for i in range(start, len(fams)):
+            if len(fams[i]) <= best:
+                break
+            chosen.append(fams[i])
+            if len(chosen) == s + 1:
+                if not find_rainbow(tuple(chosen)).complete:
+                    best = len(fams[i])
+            else:
+                rec(i)
+            chosen.pop()
+
+    rec(0)
+    return best
+
+
 def size_A_layered(params: Params) -> int:
     """Layered count of kind A: sum over i in [s] of C(n - i, k - 1).
 
@@ -54,9 +98,9 @@ def build_extremal(params: Params, kind: str) -> SetFamily:
     _require_kind(kind)
     n, k, s = params.n, params.k, params.s
     size = size_extremal(params, kind)
-    if size > _MATERIALIZATION_CAP:
+    if size > MATERIALIZATION_CAP:
         raise ShapeError(
-            f"build_extremal: family has {size} members, cap is {_MATERIALIZATION_CAP}"
+            f"build_extremal: family has {size} members, cap is {MATERIALIZATION_CAP}"
         )
     if kind == "A":
         members = [

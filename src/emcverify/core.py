@@ -11,9 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
+
+
+# Refuse to materialize a family, shadow or enumeration past this many sets.
+MATERIALIZATION_CAP = 50_000_000
 
 
 class ShapeError(ValueError):
@@ -147,7 +152,8 @@ class SetFamily:
         return len(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        i = bisect_left(self.members, mask)
+        return i < len(self.members) and self.members[i] == mask
 
     def as_sets(self) -> list[tuple[int, ...]]:
         return [elements_from_mask(m) for m in self.members]

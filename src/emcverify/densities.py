@@ -53,19 +53,29 @@ def decompose(family: SetFamily, y_elements) -> dict[frozenset[int], SetFamily]:
     }
 
 
-def slice_family(family: SetFamily, j: int, s: int) -> SetFamily:
-    """The single slice F(j): members whose trace on [s+1] is exactly {j}, minus j.
+def slice_partition(family: SetFamily, s: int) -> tuple[SetFamily, ...]:
+    """All slices on Y = [s+1] in one pass: index 0 is F(∅), index j is F(j).
 
-    Convenience accessor equivalent to decompose(family, [s+1])[{j}]; j = 0
-    returns the empty-trace slice F(∅).
+    F(j) holds the members whose trace on [s+1] is exactly {j}, minus j; a
+    member whose trace has two or more elements lies in no slice.
     """
-    n = family.n
     y_mask = interval_mask(1, s + 1)
-    want = 0 if j == 0 else 1 << (j - 1)
-    if j != 0 and not (1 <= j <= s + 1):
+    buckets: list[list[int]] = [[] for _ in range(s + 2)]
+    for m in family.members:
+        trace = m & y_mask
+        if trace & (trace - 1) == 0:  # empty or a single element
+            buckets[trace.bit_length()].append(m ^ trace)
+    n, k = family.n, family.k
+    return tuple(
+        SetFamily.from_masks(n, k - (j > 0), masks) for j, masks in enumerate(buckets)
+    )
+
+
+def slice_family(family: SetFamily, j: int, s: int) -> SetFamily:
+    """The single slice F(j) of ``slice_partition``; j = 0 is F(∅)."""
+    if not 0 <= j <= s + 1:
         raise ShapeError(f"slice_family: j={j} outside [0, {s + 1}]")
-    masks = [m & ~y_mask for m in family.members if m & y_mask == want]
-    return SetFamily.from_masks(n, family.k - (0 if j == 0 else 1), masks)
+    return slice_partition(family, s)[j]
 
 
 @dataclass(frozen=True)
@@ -94,14 +104,9 @@ def alpha_profile(families: FamilyTuple) -> DensityProfile:
     rows = []
     empties = []
     for fam in families:
-        parts = decompose(fam, range(1, s + 2))
-        row = tuple(
-            Fraction(len(parts[frozenset({j})]), denom_slice) for j in range(1, s + 2)
-        )
-        rows.append(row)
-        empties.append(
-            Fraction(len(parts[frozenset()]), denom_empty) if denom_empty else Fraction(0)
-        )
+        parts = slice_partition(fam, s)
+        rows.append(tuple(Fraction(len(part), denom_slice) for part in parts[1:]))
+        empties.append(Fraction(len(parts[0]), denom_empty) if denom_empty else Fraction(0))
     return DensityProfile(s=s, n_prime=n_prime, alpha=tuple(rows), alpha_empty=tuple(empties))
 
 
@@ -112,6 +117,17 @@ class BetaValue:
     witness_ell: int  # smallest prefix length where that member peaks
 
 
+def _prefix_peak(mask: int, n: int) -> tuple[Fraction, int]:
+    """max over ell in [n] of |A ∩ [ell]| / ell, and the smallest ell attaining it."""
+    best_num, best_ell = 0, 1
+    inside = 0
+    for ell in range(1, n + 1):
+        inside += mask >> (ell - 1) & 1
+        if inside * best_ell > best_num * ell:
+            best_num, best_ell = inside, ell
+    return Fraction(best_num, best_ell), best_ell
+
+
 def beta_parameter(family: SetFamily) -> BetaValue:
     """min over members A of max over ell in [n] of |A ∩ [ell]| / ell, exactly.
 
@@ -120,27 +136,10 @@ def beta_parameter(family: SetFamily) -> BetaValue:
     """
     if len(family) == 0:
         raise ShapeError("beta_parameter: undefined for the empty family")
-    n = family.n
-    best_val: Fraction | None = None
-    best_member = 0
-    best_ell = 1
-    for m in family.members:
-        inside = 0
-        member_best = Fraction(0)
-        member_ell = 1
-        for ell in range(1, n + 1):
-            if m >> (ell - 1) & 1:
-                inside += 1
-            cand = Fraction(inside, ell)
-            if cand > member_best:
-                member_best = cand
-                member_ell = ell
-        if best_val is None or member_best < best_val:
-            best_val = member_best
-            best_member = m
-            best_ell = member_ell
-    assert best_val is not None
-    return BetaValue(value=best_val, witness_member=best_member, witness_ell=best_ell)
+    (value, ell), member = min(
+        ((_prefix_peak(m, family.n), m) for m in family.members), key=lambda p: p[0][0]
+    )
+    return BetaValue(value=value, witness_member=member, witness_ell=ell)
 
 
 def check_sum_beta(families: FamilyTuple) -> tuple[Fraction, bool]:
@@ -156,18 +155,22 @@ def check_sum_beta(families: FamilyTuple) -> tuple[Fraction, bool]:
     return total, total > 1
 
 
+def meets_thresholds(mask: int, b: int, thresholds) -> bool:
+    """True iff some i in [b, b + len(thresholds) - 1] has |A ∩ [thresholds[i - b]]| >= i."""
+    return any(
+        (mask & interval_mask(1, alpha)).bit_count() >= i
+        for i, alpha in enumerate(thresholds, start=b)
+    )
+
+
 def ell_condition(member_mask: int, s: int, k: int | None = None) -> bool:
     """True iff some ell in [1, k] has |A ∩ [3(s+1)ell - 1]| >= ell.
 
     Only ell <= |A| can ever satisfy the inequality, so the scan stops there.
     """
-    elems = elements_from_mask(member_mask)
-    size = len(elems) if k is None else k
-    for ell in range(1, size + 1):
-        cutoff = 3 * (s + 1) * ell - 1
-        if sum(1 for e in elems if e <= cutoff) >= ell:
-            return True
-    return False
+    size = member_mask.bit_count() if k is None else k
+    cutoffs = (3 * (s + 1) * ell - 1 for ell in range(1, size + 1))
+    return meets_thresholds(member_mask, 1, cutoffs)
 
 
 def verify_lemma4(family: SetFamily, s: int) -> tuple[int, int, bool]:
@@ -187,6 +190,19 @@ def verify_lemma4(family: SetFamily, s: int) -> tuple[int, int, bool]:
     return lhs, rhs, lhs >= rhs
 
 
+def check_theorem3_args(k: int, b: int, thresholds: tuple[int, ...]) -> None:
+    """Reject a depth b outside [0, k], or thresholds other than k - b + 1 increasing values."""
+    if not (0 <= b <= k):
+        raise ShapeError(f"verify_theorem3: depth b={b} outside [0, {k}]")
+    if len(thresholds) != k - b + 1:
+        raise ShapeError(
+            f"verify_theorem3: need {k - b + 1} thresholds for b={b}, k={k}, "
+            f"got {len(thresholds)}"
+        )
+    if any(thresholds[i] >= thresholds[i + 1] for i in range(len(thresholds) - 1)):
+        raise ShapeError("verify_theorem3: thresholds must be strictly increasing")
+
+
 def verify_theorem3(
     family: SetFamily, b: int, thresholds: tuple[int, ...]
 ) -> tuple[Fraction, bool]:
@@ -198,22 +214,11 @@ def verify_theorem3(
     |shadow_b(F)| >= beta * |F| compared as exact rationals.
     """
     k = family.k
-    if not (0 <= b <= k):
-        raise ShapeError(f"verify_theorem3: depth b={b} outside [0, {k}]")
-    if len(thresholds) != k - b + 1:
-        raise ShapeError(
-            f"verify_theorem3: need {k - b + 1} thresholds for b={b}, k={k}, "
-            f"got {len(thresholds)}"
-        )
-    if any(thresholds[i] >= thresholds[i + 1] for i in range(len(thresholds) - 1)):
-        raise ShapeError("verify_theorem3: thresholds must be strictly increasing")
+    check_theorem3_args(k, b, thresholds)
     for m in family.members:
-        elems = elements_from_mask(m)
-        if not any(
-            sum(1 for e in elems if e <= thresholds[i - b]) >= i for i in range(b, k + 1)
-        ):
+        if not meets_thresholds(m, b, thresholds):
             raise ShapeError(
-                f"verify_theorem3: member {sorted(elems)} fails every threshold"
+                f"verify_theorem3: member {sorted(elements_from_mask(m))} fails every threshold"
             )
     beta = min(
         Fraction(binomial(thresholds[i - b], i - b), binomial(thresholds[i - b], i))
@@ -237,26 +242,23 @@ def gap_set_prefix_peak(gap_mask: int, n: int) -> Fraction:
     For the dense progression with step s' this equals exactly 1/s',
     witnessing that no member dominating G can have a large beta.
     """
-    best = Fraction(0)
-    inside = 0
-    for ell in range(1, n + 1):
-        if gap_mask >> (ell - 1) & 1:
-            inside += 1
-        cand = Fraction(inside, ell)
-        if cand > best:
-            best = cand
-    return best
+    return _prefix_peak(gap_mask, n)[0]
 
 
 def random_condition_family(
-    params: Params, size: int, rng, max_tries: int = 1_000_000
+    params: Params, size: int, rng, max_tries: int = 1_000_000, accept=None
 ) -> SetFamily:
-    """Rejection-sample a k-uniform family whose members all pass ell_condition.
+    """Rejection-sample a k-uniform family whose members all pass ``accept``.
 
-    Used by the randomized verifier suites; the condition is dense at the
-    parameter ranges those suites use, so the retry cap is generous.
+    ``accept`` takes a member mask and defaults to ell_condition at params.s.
+    Each try draws one rng.sample, so the stream depends only on the number
+    of tries.  The condition is dense at the parameter ranges the randomized
+    verifier suites use, so the retry cap is generous.
     """
     n, k, s = params.n, params.k, params.s
+    if accept is None:
+        def accept(mask: int) -> bool:
+            return ell_condition(mask, s, k)
     chosen: set[int] = set()
     tries = 0
     population = list(range(1, n + 1))
@@ -270,6 +272,6 @@ def random_condition_family(
         mask = mask_from_elements(combo)
         if mask in chosen:
             continue
-        if ell_condition(mask, s, k):
+        if accept(mask):
             chosen.add(mask)
     return SetFamily.from_masks(n, k, chosen)

@@ -25,7 +25,7 @@ from .core import (
     validate_family_tuple,
 )
 from .concentration import gamma_threshold
-from .densities import beta_parameter, slice_family
+from .densities import beta_parameter, slice_partition
 from .matchings import Matching
 
 
@@ -52,6 +52,17 @@ class ThresholdConfig:
     eligibility_coeff: int
     one_set_rule: str  # "r4-guard" (default) or "w1-empty"
 
+    def __post_init__(self):
+        sp1 = self.s + 1
+        if not 0 <= self.u_target <= sp1:
+            raise ShapeError(f"u_target={self.u_target} outside [0, {sp1}]")
+        if not 1 <= self.third_slice <= sp1:
+            raise ShapeError(f"third_slice={self.third_slice} outside [1, {sp1}]")
+        if not self.gamma >= 0:
+            raise ShapeError(f"gamma={self.gamma} must be >= 0")
+        if self.one_set_rule not in ("r4-guard", "w1-empty"):
+            raise ShapeError(f"unknown one_set_rule {self.one_set_rule!r}")
+
     @classmethod
     def from_params(
         cls,
@@ -64,8 +75,6 @@ class ThresholdConfig:
         t_val = params.t if t is None else t
         if gamma is None:
             gamma = gamma_threshold(t_val, s) if s >= 2 and t_val >= 1 else 0.0
-        if one_set_rule not in ("r4-guard", "w1-empty"):
-            raise ShapeError(f"unknown one_set_rule {one_set_rule!r}")
         sp1 = s + 1
         return cls(
             s=s,
@@ -94,21 +103,14 @@ def _slice_tables(families: FamilyTuple, matching: Matching, s: int) -> list[_Sl
     blocks = set(matching.members)
     out = []
     for fam in families:
-        hits: dict[int, list[int]] = {}
-        counts = []
-        sizes = []
-        for j in range(1, s + 2):
-            sl = slice_family(fam, j, s)
-            inter = sorted(b for b in sl.members if b in blocks)
-            hits[j] = inter
-            counts.append(len(inter))
-            sizes.append(len(sl))
+        parts = slice_partition(fam, s)
+        hits = {j: [b for b in parts[j].members if b in blocks] for j in range(1, s + 2)}
         out.append(
             _SliceData(
                 hits=hits,
-                counts=tuple(counts),
-                sizes=tuple(sizes),
-                empty_size=len(slice_family(fam, 0, s)),
+                counts=tuple(len(hits[j]) for j in range(1, s + 2)),
+                sizes=tuple(len(part) for part in parts[1:]),
+                empty_size=len(parts[0]),
             )
         )
     return out
@@ -123,12 +125,11 @@ def _m_from_counts(counts: tuple[int, ...], s: int) -> float:
 
 def compute_m(family: SetFamily, matching: Matching, s: int):
     """Smallest j in [s+1] with |F(j) ∩ M| <= s + 1 - j, else infinity."""
-    blocks = set(matching.members)
-    for j in range(1, s + 2):
-        c = sum(1 for b in slice_family(family, j, s).members if b in blocks)
-        if c <= s + 1 - j:
-            return j
-    return math.inf
+    return _m_from_counts(_slice_tables((family,), matching, s)[0].counts, s)
+
+
+def _xi_from_tables(tables, s: int) -> int:
+    return sum((3 * s + 3) * d.counts[s] + sum(d.counts[:s]) for d in tables)
 
 
 def xi_statistic(families: FamilyTuple, matching: Matching, s1: int) -> int:
@@ -136,13 +137,7 @@ def xi_statistic(families: FamilyTuple, matching: Matching, s1: int) -> int:
     s = len(families) - 1
     if not (0 <= s1 <= s + 1):
         raise ShapeError(f"xi_statistic: s1={s1} outside [0, {s + 1}]")
-    blocks = set(matching.members)
-    total = 0
-    for fam in families[:s1]:
-        for j in range(1, s + 2):
-            c = sum(1 for b in slice_family(fam, j, s).members if b in blocks)
-            total += (3 * s + 3) * c if j == s + 1 else c
-    return total
+    return _xi_from_tables(_slice_tables(families[:s1], matching, s), s)
 
 
 @dataclass(frozen=True)
@@ -174,6 +169,8 @@ def _arrange_core(families: FamilyTuple, matching: Matching, config: ThresholdCo
     t = len(matching.members)
     if config is None:
         config = ThresholdConfig.from_params(Params(n=n, k=k, s=s), t=t)
+    if config.s != s:
+        raise ShapeError(f"config is for s={config.s}, the tuple has s={s}")
     tables = _slice_tables(families, matching, s)
     assumptions: list[str] = []
     rules: list[str] = []
@@ -259,7 +256,7 @@ def _arrange_core(families: FamilyTuple, matching: Matching, config: ThresholdCo
             )
 
     m_values = tuple(m_of[order0[p - 1]] for p in range(1, s1 + 1))
-    xi = xi_statistic(tuple(families[i] for i in order0), matching, s1)
+    xi = _xi_from_tables([tables[i] for i in order0[:s1]], s)
     trace = ProcedureTrace(
         s=s,
         t=t,
@@ -569,14 +566,15 @@ def audit_inequalities(
         worst_margin = math.inf
         # b - a = 3j*gamma and st - c are linear in j, c - b = j(2t/3 - 3s - j)
         # is concave, and j*t/(3(3s+3+4j)) increases with j while 3s+3+4j > 0
-        # (a <= b forces j >= 0 at both ends), so the endpoints decide every j.
+        # (a <= b forces j >= 0 at both ends, and an endpoint with
+        # 3s+3+4j <= 0 fails), so the endpoints decide every j.
         for j in {j_lo, j_hi}:
+            den = 3 * s + 3 + 4 * j
             a_j = (3 * s + 3 + j) * (j + 1 + gf) + (s - j) * t
-            b_j = st - j * t + (3 * s + j) * j + (3 * s + 3 + 4 * j) * (1 + gf)
-            c_j = st - Fraction(j * t, 3) + (3 * s + 3 + 4 * j) * (1 + gf)
-            ratio = Fraction(j * t, 3 * (3 * s + 3 + 4 * j))
+            b_j = st - j * t + (3 * s + j) * j + den * (1 + gf)
+            c_j = st - Fraction(j * t, 3) + den * (1 + gf)
             ok = ok and b_j - a_j == 3 * j * gf and b_j <= c_j and c_j < st
-            ok = ok and ratio > Fraction(sp1, 11)
+            ok = ok and den > 0 and Fraction(j * t, 3 * den) > Fraction(sp1, 11)
             if j_lo <= j_hi:  # an empty range quantifies over nothing
                 ok = ok and a_j <= b_j
                 worst_margin = min(worst_margin, float(st - c_j))

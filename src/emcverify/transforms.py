@@ -12,10 +12,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import SetFamily, ShapeError, binomial, enumerate_ksets, lex_initial_family
-
-# Refuse to materialize shadow/enumeration results past this many sets.
-_MATERIALIZATION_CAP = 50_000_000
+from .core import (
+    MATERIALIZATION_CAP,
+    SetFamily,
+    ShapeError,
+    binomial,
+    enumerate_ksets,
+    lex_initial_family,
+)
 
 # Shifted-family enumeration walks every down-set of the layer; the layer
 # size itself is the guard, not the count of down-sets.
@@ -130,9 +134,9 @@ def upper_shadow(family: SetFamily, u: int) -> SetFamily:
         return family
     grow = u - family.k
     work = len(family) * binomial(family.n - family.k, grow)
-    if work > _MATERIALIZATION_CAP:
+    if work > MATERIALIZATION_CAP:
         raise ShapeError(
-            f"upper_shadow: would touch {work} candidate sets, cap is {_MATERIALIZATION_CAP}"
+            f"upper_shadow: would touch {work} candidate sets, cap is {MATERIALIZATION_CAP}"
         )
     seen = set()
     for m in family.members:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_hall_assignment
-from emcverify.cli import classic_max_bounded_nu, rainbow_max_min_size
+from emcverify.constructions import classic_max_bounded_nu, rainbow_max_min_size
 from emcverify.concentration import (
     distribution_mean,
     exact_eta_distribution,

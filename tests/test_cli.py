@@ -388,7 +388,17 @@ class TestProcedureCmd:
     ["procedure", "--config", '{"w1_cut": "abc"}'],
     ["concentration", "--n", "6", "--k", "2", "--s", "1", "--beta-grid", "x"],
     ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--thresholds", "a,b"],
-], ids=["config-not-json", "config-bad-value", "beta-grid", "thresholds"])
+    ["procedure", "--config", '{"third_slice": 99}'],
+    ["procedure", "--config", '{"third_slice": 0}'],
+    ["procedure", "--config", '{"u_target": 3}'],
+    ["procedure", "--config", '{"gamma": -1}'],
+    ["procedure", "--config", '{"one_set_rule": "bogus"}'],
+    ["procedure", "--config", '{"s": 5}'],
+    ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--thresholds", "5"],
+    ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--b", "3"],
+], ids=["config-not-json", "config-bad-value", "beta-grid", "thresholds",
+        "config-third-slice-high", "config-third-slice-zero", "config-u-target",
+        "config-gamma", "config-one-set-rule", "config-s", "thresholds-count", "depth-b"])
 def test_malformed_value_is_usage_error(capsys, tuple_dir, tmp_path, argv):
     d, matching = tuple_dir
     if argv[0] == "procedure":

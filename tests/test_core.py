@@ -176,6 +176,8 @@ class TestSetFamily:
         assert len(fam) == 2
         assert mask_from_elements([1, 2]) in fam
         assert mask_from_elements([1, 3]) not in fam
+        assert mask_from_elements([4, 5]) not in fam  # past the last member
+        assert 0 not in fam  # below the first member
         assert fam.as_sets() == [(1, 2), (3, 5)]
 
     def test_from_masks_dedups(self):

@@ -24,6 +24,7 @@ from emcverify.densities import (
     local_lym_ratio,
     random_condition_family,
     slice_family,
+    slice_partition,
     verify_lemma4,
     verify_theorem3,
 )
@@ -100,6 +101,8 @@ class TestSliceFamily:
             s = rng.randint(1, min(2, n - 2))
             f = random_family(rng, n, k, rng.randint(0, min(binomial(n, k), 25)))
             classes = decompose(f, range(1, s + 2))
+            parts = slice_partition(f, s)
+            assert len(parts) == s + 2
             for j in range(0, s + 2):
                 key = frozenset() if j == 0 else frozenset({j})
                 sl = slice_family(f, j, s)
@@ -108,6 +111,7 @@ class TestSliceFamily:
                     assert len(sl) == 0
                 else:
                     assert set(sl.members) == set(want.members)
+                    assert parts[j] == want
 
     def test_bad_j(self):
         with pytest.raises(ShapeError):

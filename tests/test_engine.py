@@ -435,6 +435,7 @@ class TestAuditEndpointsMatchExhaustive:
                 for name, ranges in (
                     ("slice-indexed", {"j": (-2, sp1)}),
                     ("slice-indexed", {"j": (-(sp1 // 2), sp1 // 6)}),
+                    ("slice-indexed", {"j": (-(3 * sp1) // 4, sp1)}),
                     ("xi-per-family", {"m": (1, sp1 + 1)}),
                     ("xi-per-family", {"m": (-1, sp1 + 3)}),
                 ):
