@@ -50,11 +50,11 @@ from .core import (
 )
 from .densities import (
     check_theorem3_args,
-    local_lym_ratio,
+    local_lym_sides,
     meets_thresholds,
     random_condition_family,
+    theorem3_slack,
     verify_lemma4,
-    verify_theorem3,
 )
 from .engine import (
     CHECK_NAMES,
@@ -409,6 +409,8 @@ def _verify_trials(args, params: Params, statement: str, check, accept=None, **f
     ``check(fam)`` returns the exact slack and, for a false verdict, the
     fields that describe the failure (None otherwise).
     """
+    if args.max_size < 1:
+        raise UsageError(f"--max-size must be at least 1, got {args.max_size}")
     rng = random.Random(args.seed)
     cap = min(binomial(args.n, args.k), args.max_size)
     failures = []
@@ -456,9 +458,8 @@ def cmd_verify_theorem3(args) -> int:
     check_theorem3_args(args.k, b, thresholds)
 
     def check(fam):
-        beta, ok = verify_theorem3(fam, b, thresholds)
-        slack = len(lower_shadow(fam, b)) - beta * len(fam)
-        return slack, None if ok else {"beta": str(beta)}
+        beta, slack = theorem3_slack(fam, b, thresholds)
+        return slack, None if slack >= 0 else {"beta": str(beta)}
 
     return _verify_trials(
         args, params, "depth-b shadow bound", check,
@@ -504,15 +505,16 @@ def cmd_verify_emc(args) -> int:
 def cmd_verify_local_lym(args) -> int:
     fam = read_family(args.input)
     ground = fam.n if args.ground is None else args.ground
-    verdict = local_lym_ratio(fam, ground)
+    shadow_size, lhs, rhs = local_lym_sides(fam, ground)
+    verdict = lhs >= rhs
     report = {
         "n": fam.n,
         "k": fam.k,
         "ground": ground,
         "size": len(fam),
-        "shadow_size": len(lower_shadow(fam, 1)),
-        "lhs": (ground - fam.k + 1) * len(lower_shadow(fam, 1)),
-        "rhs": fam.k * len(fam),
+        "shadow_size": shadow_size,
+        "lhs": lhs,
+        "rhs": rhs,
         "verdict": verdict,
     }
     _emit(args, report)

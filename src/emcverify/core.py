@@ -224,9 +224,8 @@ def parse_family_text(text: str) -> SetFamily:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
         try:
-            values = [int(p) for p in parts]
+            values = list(map(int, line.split()))
         except ValueError:
             raise FamilyFormatError(f"line {lineno}: non-integer token in {raw!r}")
         if n is None:
@@ -240,11 +239,19 @@ def parse_family_text(text: str) -> SetFamily:
         if len(values) != k:
             raise FamilyFormatError(
                 f"line {lineno}: expected {k} elements, got {len(values)}")
-        if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
-            raise FamilyFormatError(f"line {lineno}: elements must be ascending")
-        if values and (values[0] < 1 or values[-1] > n):
+        # One pass builds the mask and checks the order; an out-of-range
+        # label sets no bit, so it shows as a short popcount afterwards.  A
+        # line that breaks both rules reports the order.
+        m = 0
+        prev = values[0] - 1
+        for v in values:
+            if v <= prev:
+                raise FamilyFormatError(f"line {lineno}: elements must be ascending")
+            prev = v
+            if 0 < v <= n:
+                m |= 1 << (v - 1)
+        if m.bit_count() != k:
             raise FamilyFormatError(f"line {lineno}: element outside [1, {n}]")
-        m = mask_from_elements(values)
         if m in seen:
             raise FamilyFormatError(f"line {lineno}: duplicate member")
         seen.add(m)

@@ -191,7 +191,12 @@ def verify_lemma4(family: SetFamily, s: int) -> tuple[int, int, bool]:
 
 
 def check_theorem3_args(k: int, b: int, thresholds: tuple[int, ...]) -> None:
-    """Reject a depth b outside [0, k], or thresholds other than k - b + 1 increasing values."""
+    """Reject a depth b outside [0, k], thresholds other than k - b + 1
+    increasing values, or a threshold alpha_i below its index i.
+
+    No set meets |A ∩ [alpha_i]| >= i when alpha_i < i, and C(alpha_i, i) = 0
+    would leave beta undefined.
+    """
     if not (0 <= b <= k):
         raise ShapeError(f"verify_theorem3: depth b={b} outside [0, {k}]")
     if len(thresholds) != k - b + 1:
@@ -201,17 +206,23 @@ def check_theorem3_args(k: int, b: int, thresholds: tuple[int, ...]) -> None:
         )
     if any(thresholds[i] >= thresholds[i + 1] for i in range(len(thresholds) - 1)):
         raise ShapeError("verify_theorem3: thresholds must be strictly increasing")
+    for i, alpha in enumerate(thresholds, start=b):
+        if alpha < i:
+            raise ShapeError(
+                f"verify_theorem3: threshold alpha_{i}={alpha} is below {i}, "
+                f"so no member can meet it"
+            )
 
 
-def verify_theorem3(
+def theorem3_slack(
     family: SetFamily, b: int, thresholds: tuple[int, ...]
-) -> tuple[Fraction, bool]:
-    """Depth-b shadow bound with member-wise prefix thresholds.
+) -> tuple[Fraction, Fraction]:
+    """Depth-b shadow bound with member-wise prefix thresholds, as its margin.
 
-    thresholds = (alpha_b, ..., alpha_k), strictly increasing.  Every member
-    needs some i in [b, k] with |A ∩ [alpha_i]| >= i.  Returns
-    beta = min_i C(alpha_i, i - b) / C(alpha_i, i) and the verdict
-    |shadow_b(F)| >= beta * |F| compared as exact rationals.
+    thresholds = (alpha_b, ..., alpha_k), strictly increasing, alpha_i >= i.
+    Every member needs some i in [b, k] with |A ∩ [alpha_i]| >= i.  Returns
+    beta = min_i C(alpha_i, i - b) / C(alpha_i, i) and the exact slack
+    |shadow_b(F)| - beta * |F|; the bound holds iff the slack is >= 0.
     """
     k = family.k
     check_theorem3_args(k, b, thresholds)
@@ -224,16 +235,30 @@ def verify_theorem3(
         Fraction(binomial(thresholds[i - b], i - b), binomial(thresholds[i - b], i))
         for i in range(b, k + 1)
     )
-    shadow_size = len(lower_shadow(family, b))
-    return beta, Fraction(shadow_size) >= beta * len(family)
+    return beta, len(lower_shadow(family, b)) - beta * len(family)
+
+
+def verify_theorem3(
+    family: SetFamily, b: int, thresholds: tuple[int, ...]
+) -> tuple[Fraction, bool]:
+    """beta and the verdict |shadow_b(F)| >= beta * |F| of ``theorem3_slack``."""
+    beta, slack = theorem3_slack(family, b, thresholds)
+    return beta, slack >= 0
+
+
+def local_lym_sides(family: SetFamily, ground_size: int | None = None) -> tuple[int, int, int]:
+    """|shadow|, (m - k + 1) * |shadow| and k * |F| for a ground of size m."""
+    m = family.n if ground_size is None else ground_size
+    if m < family.k:
+        raise ShapeError(f"local_lym_ratio: ground size {m} below uniformity {family.k}")
+    shadow_size = len(lower_shadow(family, 1))
+    return shadow_size, (m - family.k + 1) * shadow_size, family.k * len(family)
 
 
 def local_lym_ratio(family: SetFamily, ground_size: int | None = None) -> bool:
     """Double-counting bound (m - k + 1) * |shadow| >= k * |F| on a ground of size m."""
-    m = family.n if ground_size is None else ground_size
-    if m < family.k:
-        raise ShapeError(f"local_lym_ratio: ground size {m} below uniformity {family.k}")
-    return (m - family.k + 1) * len(lower_shadow(family, 1)) >= family.k * len(family)
+    _, lhs, rhs = local_lym_sides(family, ground_size)
+    return lhs >= rhs
 
 
 def gap_set_prefix_peak(gap_mask: int, n: int) -> Fraction:

@@ -9,8 +9,8 @@ exhaustive enumeration feasible at small ground sizes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import combinations
 
 from .core import (
     MATERIALIZATION_CAP,
@@ -18,7 +18,6 @@ from .core import (
     ShapeError,
     binomial,
     enumerate_ksets,
-    lex_initial_family,
 )
 
 # Shifted-family enumeration walks every down-set of the layer; the layer
@@ -108,26 +107,59 @@ def is_shifted(family: SetFamily) -> bool:
     return True
 
 
+def _bits(mask: int) -> list[int]:
+    # The set bits of ``mask`` as one-bit ints, lowest first.
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def _drop_one(masks) -> set[int]:
+    # One lower-shadow level: every mask with one of its set bits cleared.
+    out = set()
+    add = out.add
+    for m in masks:
+        rest = m
+        while rest:
+            low = rest & -rest
+            add(m ^ low)
+            rest ^= low
+    return out
+
+
 def lower_shadow(family: SetFamily, b: int) -> SetFamily:
-    """All (k - b)-subsets of members; depth b with 0 <= b <= k."""
+    """All (k - b)-subsets of members; depth b with 0 <= b <= k.
+
+    A shallow shadow (b <= k - b) steps down one level at a time; no level
+    is wider than |F| * C(k, b) there.  A deeper one would pass through the
+    middle levels, up to C(k, k/2) sets per member, so it takes the
+    (k - b)-subsets of each member directly.
+    """
     if not (0 <= b <= family.k):
         raise ShapeError(f"lower_shadow: depth {b} outside [0, {family.k}]")
     if b == 0:
         return family
-    target = family.k - b
-    seen = set()
-    for m in family.members:
-        elems = [e + 1 for e in range(family.n) if m >> e & 1]
-        for combo in itertools.combinations(elems, target):
-            acc = 0
-            for e in combo:
-                acc |= 1 << (e - 1)
-            seen.add(acc)
-    return SetFamily.from_masks(family.n, target, seen)
+    t = family.k - b
+    if b <= t:
+        cur = family.members
+        for _ in range(b):
+            cur = _drop_one(cur)
+    else:
+        cur = {sum(c) for m in family.members for c in combinations(_bits(m), t)}
+    return SetFamily.from_masks(family.n, t, cur)
 
 
 def upper_shadow(family: SetFamily, u: int) -> SetFamily:
-    """All u-supersets (within the ground set) of members; k <= u <= n."""
+    """All u-supersets (within the ground set) of members; k <= u <= n.
+
+    The guard counts |F| * C(n - k, u - k) candidates.  Stepping up one
+    level at a time stays within that count only while u - k <= n - u
+    (every level j <= u - k has C(n - k, j) <= C(n - k, u - k)); otherwise
+    the grown bits are chosen directly among each member's free bits.
+    """
     if not (family.k <= u <= family.n):
         raise ShapeError(f"upper_shadow: target size {u} outside [{family.k}, {family.n}]")
     if u == family.k:
@@ -138,15 +170,57 @@ def upper_shadow(family: SetFamily, u: int) -> SetFamily:
         raise ShapeError(
             f"upper_shadow: would touch {work} candidate sets, cap is {MATERIALIZATION_CAP}"
         )
-    seen = set()
-    for m in family.members:
-        outside = [e + 1 for e in range(family.n) if not m >> e & 1]
-        for combo in itertools.combinations(outside, grow):
-            acc = m
-            for e in combo:
-                acc |= 1 << (e - 1)
-            seen.add(acc)
-    return SetFamily.from_masks(family.n, u, seen)
+    if grow <= family.n - u:
+        bits = [1 << e for e in range(family.n)]
+        cur = family.members
+        for _ in range(grow):
+            # One upper-shadow level: every mask with one free bit set.
+            cur = {m | x for m in cur for x in bits if not m & x}
+    else:
+        full = (1 << family.n) - 1
+        cur = {
+            m | sum(c) for m in family.members for c in combinations(_bits(full ^ m), grow)
+        }
+    return SetFamily.from_masks(family.n, u, cur)
+
+
+def _largest_top(rest: int, i: int) -> int:
+    # The largest a with C(a, i) <= rest, for rest >= 1 and i >= 1: double a
+    # step from a = i (where C(i, i) = 1) past the answer, then bisect.
+    lo, step = i, 1
+    while binomial(lo + step, i) <= rest:
+        lo += step
+        step *= 2
+    hi = lo + step  # C(lo, i) <= rest < C(hi, i)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if binomial(mid, i) <= rest:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _cascade_shadow(k: int, m: int, t: int) -> int:
+    """Least size of the t-shadow of m k-sets, 0 <= t <= k (Kruskal–Katona).
+
+    Write m = C(a_k, k) + C(a_{k-1}, k-1) + ... + C(a_j, j) with
+    a_k > a_{k-1} > ... > a_j >= j >= 1 (the k-cascade); the minimum is
+    C(a_k, t) + C(a_{k-1}, t-1) + ..., each term C(a_i, i - (k - t)).
+    """
+    if t == k:
+        # also the k = 0 layer, which has no cascade
+        return m
+    drop = k - t
+    total = 0
+    rest = m
+    i = k
+    while rest:
+        a = _largest_top(rest, i)
+        rest -= binomial(a, i)
+        total += binomial(a, i - drop)
+        i -= 1
+    return total
 
 
 def kk_min_shadow_size(
@@ -154,11 +228,13 @@ def kk_min_shadow_size(
 ) -> int:
     """Minimum shadow size over all m-member k-uniform families on [n].
 
-    ``direction`` is "lower" or "upper".  The minimum is attained by an
-    initial segment of colex order (lower) or lex order (upper); this just
-    materializes that extremal family and takes its shadow.  ``target_size``
-    is the uniformity of the shadow (defaults: k - 1 for lower, k + 1 for
-    upper).
+    ``direction`` is "lower" or "upper".  The lower minimum is the k-cascade
+    closed form of Kruskal and Katona, attained by an initial segment of
+    colex order; the upper minimum is the lower one of the complements,
+    (n - k)-sets shadowed down to size n - target.  Nothing is materialized:
+    the cascade has at most min(k, m) terms (min(n - k, m) upward), each
+    found with O(log a) exact binomials.  ``target_size`` is the uniformity
+    of the shadow (defaults: k - 1 for lower, k + 1 for upper).
     """
     if m < 0 or m > binomial(n, k):
         raise ShapeError(f"kk_min_shadow_size: m={m} outside [0, C({n},{k})]")
@@ -166,14 +242,14 @@ def kk_min_shadow_size(
         t = k - 1 if target_size is None else target_size
         if not (0 <= t <= k):
             raise ShapeError(f"kk_min_shadow_size: lower target {t} outside [0, {k}]")
-        fam = lex_initial_family(n, k, m, order="colex")
-        return len(lower_shadow(fam, k - t))
+        return _cascade_shadow(k, m, t)
     if direction == "upper":
         t = k + 1 if target_size is None else target_size
         if not (k <= t <= n):
             raise ShapeError(f"kk_min_shadow_size: upper target {t} outside [{k}, {n}]")
-        fam = lex_initial_family(n, k, m, order="lex")
-        return len(upper_shadow(fam, t))
+        if k < 0:  # no complement layer; SetFamily refuses this shape too
+            raise ShapeError(f"bad family shape n={n} k={k}")
+        return _cascade_shadow(n - k, m, n - t)
     raise ShapeError(f"kk_min_shadow_size: unknown direction {direction!r}")
 
 

@@ -98,6 +98,14 @@ class TestShiftShadowNu:
         assert rep["direction"] == "upper"
         assert rep["shadow_size"] == 5 and rep["kk_min"] == 5
 
+    def test_shadow_deep_upper_and_lower(self, capsys, tmp_path):
+        src = fam_file(tmp_path / "f.txt", 40, 1, (1,))
+        code, rep = run_json(capsys, ["shadow", "--in", src, "--upper", "39"])
+        assert code == 0 and rep["shadow_size"] == 39
+        src = fam_file(tmp_path / "g.txt", 30, 30, tuple(range(1, 31)))
+        code, rep = run_json(capsys, ["shadow", "--in", src, "--depth", "29"])
+        assert code == 0 and rep["shadow_size"] == 30
+
     def test_shadow_depth_upper_conflict(self, capsys, tmp_path):
         src = fam_file(tmp_path / "f.txt", 4, 2, (1, 2))
         assert run(["shadow", "--in", src, "--depth", "1", "--upper", "3"]) == 2
@@ -396,9 +404,15 @@ class TestProcedureCmd:
     ["procedure", "--config", '{"s": 5}'],
     ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--thresholds", "5"],
     ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--b", "3"],
+    ["verify", "lemma4", "--n", "8", "--k", "2", "--s", "1", "--max-size", "0"],
+    ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--max-size", "0"],
+    ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--thresholds", "0,5"],
+    ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--thresholds", "0,1"],
 ], ids=["config-not-json", "config-bad-value", "beta-grid", "thresholds",
         "config-third-slice-high", "config-third-slice-zero", "config-u-target",
-        "config-gamma", "config-one-set-rule", "config-s", "thresholds-count", "depth-b"])
+        "config-gamma", "config-one-set-rule", "config-s", "thresholds-count", "depth-b",
+        "max-size-zero", "theorem3-max-size-zero", "threshold-zero-division",
+        "thresholds-unmeetable"])
 def test_malformed_value_is_usage_error(capsys, tuple_dir, tmp_path, argv):
     d, matching = tuple_dir
     if argv[0] == "procedure":

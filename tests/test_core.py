@@ -237,6 +237,43 @@ class TestFamilyIO:
         with pytest.raises(FamilyFormatError, match=fragment):
             parse_family_text(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("6 2\n1 x\n", "line 2: non-integer token in '1 x'"),
+            ("6 2 1\n", "line 1: header must be 'n k', got '6 2 1'"),
+            ("x 2\n", "line 1: non-integer token in 'x 2'"),
+            ("-1 0\n", "line 1: bad header n=-1 k=0"),
+            ("2 6\n", "line 1: bad header n=2 k=6"),
+            ("6\n", "line 1: header must be 'n k', got '6'"),
+            ("", "line 1: missing 'n k' header"),
+            ("# only a comment\n\n", "line 1: missing 'n k' header"),
+            ("6 2\n1 2 3\n", "line 2: expected 2 elements, got 3"),
+            ("6 2\n1\n", "line 2: expected 2 elements, got 1"),
+            ("3 0\n1\n", "line 2: expected 0 elements, got 1"),
+            ("6 2\n2 1\n", "line 2: elements must be ascending"),
+            ("6 2\n2 2\n", "line 2: elements must be ascending"),
+            ("6 2\n0 0\n", "line 2: elements must be ascending"),
+            ("6 2\n7 1\n", "line 2: elements must be ascending"),
+            ("6 3\n7 8 2\n", "line 2: elements must be ascending"),
+            ("6 2\n0 1\n", "line 2: element outside [1, 6]"),
+            ("6 2\n-1 3\n", "line 2: element outside [1, 6]"),
+            ("6 2\n5 7\n", "line 2: element outside [1, 6]"),
+            ("6 2\n1 2\n1 2\n", "line 3: duplicate member"),
+            ("# header next\n6 2\n1 2\n\n3 4  # ok\n2 1\n",
+             "line 6: elements must be ascending"),
+            ("6 2\n1 2\n3 x 4\n", "line 3: non-integer token in '3 x 4'"),
+            ("6 2\n3 1 x\n", "line 2: non-integer token in '3 1 x'"),
+            ("6 3\n3 2 1 0\n", "line 2: expected 3 elements, got 4"),
+        ],
+    )
+    def test_parse_error_messages_pinned(self, text, message):
+        # exact messages, first broken rule first: token, header, count,
+        # order, range, duplicate
+        with pytest.raises(FamilyFormatError) as info:
+            parse_family_text(text)
+        assert str(info.value) == message
+
     def test_text_round_trip(self):
         fam = SetFamily.from_sets(7, 3, [(1, 2, 7), (2, 3, 4)])
         assert parse_family_text(family_to_text(fam)) == fam

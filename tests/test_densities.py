@@ -273,6 +273,14 @@ class TestTheorem3:
         with pytest.raises(ShapeError, match="fails every threshold"):
             verify_theorem3(fam(9, 2, (8, 9)), b=1, thresholds=(2, 5))
 
+    def test_threshold_below_index(self):
+        # alpha_1 = 0 < 1: no member meets it, and C(0, 1) = 0 leaves beta undefined
+        f = fam(7, 2, (1, 2))
+        with pytest.raises(ShapeError, match="below 1"):
+            verify_theorem3(f, 1, (0, 5))
+        with pytest.raises(ShapeError, match="below 2"):
+            verify_theorem3(f, 2, (1,))
+
     def test_default_thresholds_collapse_to_weighted_shadow(self):
         # with alpha_i = 3(s+1)i - 1 every ratio equals 1/(3s+2), so the
         # depth-1 bound coincides with the (3s+2)-weighted shadow bound

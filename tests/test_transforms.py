@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -152,6 +153,19 @@ class TestShadows:
             for u in range(k, n + 1):
                 assert set(upper_shadow(f, u).members) == brute_upper_shadow(f, u)
 
+    def test_deep_shadows_skip_middle_levels(self):
+        # Stepping level by level would pass through C(39, 19) or C(30, 15)
+        # intermediate sets here; the direct enumeration touches 39 and 30.
+        started = time.perf_counter()
+        up = upper_shadow(fam(40, 1, (1,)), 39)
+        down = lower_shadow(fam(40, 30, tuple(range(1, 31))), 29)
+        assert time.perf_counter() - started < 1.0
+        assert len(up) == 39 and all(m & 1 for m in up.members)
+        assert down == SetFamily.from_sets(40, 1, [(e,) for e in range(1, 31)])
+        # the middle level itself is refused by the guard, not materialized
+        with pytest.raises(ShapeError, match="cap is"):
+            upper_shadow(fam(40, 1, (1,)), 20)
+
     def test_duality(self):
         # upper shadow = complement of the lower shadow of the complements
         rng = random.Random(29)
@@ -227,6 +241,42 @@ class TestKruskalKatona:
                     colex = lex_initial_family(n, k, m, order="colex")
                     got = len(lower_shadow(colex, 1)) if m else 0
                     assert got == kk_min_shadow_size(n, k, m, "lower")
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_cascade_matches_initial_segments(self, direction):
+        # every n <= 8, k (0 and n included), m and target: the floor is the
+        # shadow size of the first m k-sets in colex (lower) or lex (upper)
+        # order, with shadows taken by the brute-force oracles
+        order = "colex" if direction == "lower" else "lex"
+        for n in range(0, 9):
+            for k in range(0, n + 1):
+                layer = list(enumerate_ksets(n, k, order=order))
+                targets = range(0, k + 1) if direction == "lower" else range(k, n + 1)
+                for t in targets:
+                    shadow: set[int] = set()
+                    for m in range(len(layer) + 1):
+                        if m:
+                            one = SetFamily.from_masks(n, k, [layer[m - 1]])
+                            shadow |= (
+                                brute_lower_shadow(one, k - t)
+                                if direction == "lower"
+                                else brute_upper_shadow(one, t)
+                            )
+                        got = kk_min_shadow_size(n, k, m, direction, target_size=t)
+                        assert got == len(shadow), (n, k, m, t)
+
+    def test_floor_at_scale(self):
+        # the cascade builds no family, so huge n and m cost milliseconds
+        n, k = 10**4, 6
+        started = time.perf_counter()
+        kk_min_shadow_size(n, k, 10**15, "lower")
+        kk_min_shadow_size(n, k, 10**15, "upper")
+        assert time.perf_counter() - started < 1.0
+        for a in (k, 1000, n - 1, n):
+            for t in range(0, k + 1):
+                assert kk_min_shadow_size(n, k, binomial(a, k), "lower", target_size=t) == binomial(a, t)
+        for t in range(k, k + 4):
+            assert kk_min_shadow_size(n, k, 1, "upper", target_size=t) == binomial(n - k, t - k)
 
 
 class TestBTCheck:
