@@ -15,7 +15,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import is_dataclass, replace
+from dataclasses import is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,12 +38,10 @@ from .constructions import (
 from .core import (
     FamilyFormatError,
     Params,
-    SetFamily,
     ShapeError,
     binomial,
     elements_from_mask,
     family_to_json,
-    interval_mask,
     read_family,
     validate_family_tuple,
     write_family,
@@ -141,48 +139,38 @@ def _emit(args, report: dict, csv_rows=None) -> None:
 
 
 # --- subcommand handlers ----------------------------------------------------
+#
+# Each handler returns (report, verdict) or (report, verdict, csv_rows);
+# run() writes the report and turns the verdict into the exit code.
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     params = Params(n=args.n, k=args.k, s=args.s)
-    if args.kind in ("A", "B"):
-        size = size_extremal(params, args.kind)
-        if args.size_only:
-            sys.stdout.write(f"{size}\n")
-            return 0
-        fam = build_extremal(params, args.kind)
-        report = {"kind": args.kind, "n": args.n, "k": args.k, "s": args.s, "size": size}
-        if args.kind == "A":
-            report["size_layered"] = size_A_layered(params)
-        if args.family_out:
-            write_family(args.family_out, fam)
-            report["family_file"] = args.family_out
-        else:
-            report["family"] = family_to_json(fam)
-        _emit(args, report)
-        return 0
-    variant = args.kind.split("-", 1)[1]  # gap-dense / gap-sparse
-    mask = build_gap_set(params, variant)
+    gap = args.kind.startswith("gap-")
+    mask = build_gap_set(params, args.kind[4:]) if gap else None
+    size = mask.bit_count() if gap else size_extremal(params, args.kind)
     if args.size_only:
-        sys.stdout.write(f"{mask.bit_count()}\n")
-        return 0
-    report = {
-        "kind": args.kind,
-        "n": args.n,
-        "k": args.k,
-        "s": args.s,
-        "size": mask.bit_count(),
-        "elements": list(elements_from_mask(mask)),
-    }
-    if variant == "dense":
-        total, ratios = lemma3_bound(params)
-        report["cover_bound_total"] = total
-        report["cover_term_ratios"] = [str(r) for r in ratios]
-    _emit(args, report)
-    return 0
+        return size
+    report = {"kind": args.kind, "n": args.n, "k": args.k, "s": args.s, "size": size}
+    if gap:
+        report["elements"] = list(elements_from_mask(mask))
+        if args.kind == "gap-dense":
+            total, ratios = lemma3_bound(params)
+            report["cover_bound_total"] = total
+            report["cover_term_ratios"] = [str(r) for r in ratios]
+        return report, True
+    fam = build_extremal(params, args.kind)
+    if args.kind == "A":
+        report["size_layered"] = size_A_layered(params)
+    if args.family_out:
+        write_family(args.family_out, fam)
+        report["family_file"] = args.family_out
+    else:
+        report["family"] = family_to_json(fam)
+    return report, True
 
 
-def cmd_shift(args) -> int:
+def cmd_shift(args):
     fam = read_family(args.input)
     rep = shift_closure(fam)
     if args.family_out:
@@ -196,11 +184,10 @@ def cmd_shift(args) -> int:
         "was_already_shifted": rep.applied == 0,
         "result": {"family_file": args.family_out} if args.family_out else family_to_json(rep.result),
     }
-    _emit(args, report)
-    return 0
+    return report, True
 
 
-def cmd_shadow(args) -> int:
+def cmd_shadow(args):
     fam = read_family(args.input)
     if args.depth is not None and args.upper is not None:
         raise UsageError("--depth and --upper are mutually exclusive")
@@ -210,10 +197,8 @@ def cmd_shadow(args) -> int:
         direction, target = "lower", fam.k - args.depth
     else:
         direction = args.direction
-        if direction == "lower":
-            target = fam.k - 1 if args.target_size is None else args.target_size
-        else:
-            target = fam.k + 1 if args.target_size is None else args.target_size
+        step = -1 if direction == "lower" else 1
+        target = fam.k + step if args.target_size is None else args.target_size
     if direction == "lower":
         shadow = lower_shadow(fam, fam.k - target)
     else:
@@ -233,18 +218,15 @@ def cmd_shadow(args) -> int:
     if args.family_out:
         write_family(args.family_out, shadow)
         report["family_file"] = args.family_out
-    _emit(args, report)
-    return 0 if verdict else 1
+    return report, verdict
 
 
-def cmd_nu(args) -> int:
+def cmd_nu(args):
     fam = read_family(args.input)
-    report = {"n": fam.n, "k": fam.k, "size": len(fam), "nu": matching_number(fam)}
-    _emit(args, report)
-    return 0
+    return {"n": fam.n, "k": fam.k, "size": len(fam), "nu": matching_number(fam)}, True
 
 
-def cmd_rainbow(args) -> int:
+def cmd_rainbow(args):
     families = tuple(read_family(p) for p in args.inputs)
     validate_family_tuple(families)
     witness = find_rainbow(families)
@@ -256,11 +238,10 @@ def cmd_rainbow(args) -> int:
             for m in witness.assignment
         ],
     }
-    _emit(args, report)
-    return 0 if witness.complete else 1
+    return report, witness.complete
 
 
-def cmd_sample_matching(args) -> int:
+def cmd_sample_matching(args):
     params = Params(n=args.n, k=args.k, s=args.s)
     m = sample_matching(params, args.seed, t=args.t)
     if args.family_out:
@@ -273,11 +254,10 @@ def cmd_sample_matching(args) -> int:
         "seed": args.seed,
         "blocks": [list(b) for b in m.as_sets()],
     }
-    _emit(args, report)
-    return 0
+    return report, True
 
 
-def cmd_concentration(args) -> int:
+def cmd_concentration(args):
     g = read_family(args.input)
     params = Params(n=args.n, k=args.k, s=args.s)
     if g.n != params.n:
@@ -298,30 +278,15 @@ def cmd_concentration(args) -> int:
             "distribution": {str(k_): str(v) for k_, v in sorted(dist.items())},
         }
         rows = [["eta", "probability"]] + [[k_, str(v)] for k_, v in sorted(dist.items())]
-        _emit(args, report, csv_rows=rows)
-        return 0 if verdict else 1
+        return report, verdict, rows
     grid = _number_list(args.beta_grid, float, "--beta-grid") if args.beta_grid else None
     rep = monte_carlo_eta(g, params, trials=args.trials, seed=args.seed, t=args.t, beta_grid=grid)
     report = {"mode": "monte-carlo", "seed": args.seed, "report": rep}
     rows = [["eta", "count"]] + [[k_, v] for k_, v in sorted(rep.eta_histogram.items())]
-    _emit(args, report, csv_rows=rows)
-    return 0
+    return report, True, rows
 
 
-def _read_matching(path: str) -> SetFamily:
-    m = read_family(path)
-    covered = 0
-    for b in m.members:
-        if covered & b:
-            raise UsageError("matching file has overlapping blocks")
-        covered |= b
-    return m
-
-
-def _load_threshold_config(path: str | None, params: Params, t: int) -> ThresholdConfig:
-    config = ThresholdConfig.from_params(params, t=t)
-    if path is None:
-        return config
+def _read_config(path: str) -> dict:
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -329,26 +294,10 @@ def _load_threshold_config(path: str | None, params: Params, t: int) -> Threshol
             raise UsageError(f"config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
-    fields = set(ThresholdConfig.__dataclass_fields__)
-    updates = {}
-    for key, val in raw.items():
-        if key not in fields:
-            raise UsageError(f"unknown config key {key!r}")
-        try:
-            if key in ("small_alpha_cut", "w1_cut", "beta_large_cut"):
-                updates[key] = Fraction(val)
-            elif key == "gamma":
-                updates[key] = float(val)
-            elif key == "one_set_rule":
-                updates[key] = str(val)
-            else:
-                updates[key] = int(val)
-        except (ArithmeticError, TypeError, ValueError):
-            raise UsageError(f"config key {key!r}: bad value {val!r}") from None
-    return replace(config, **updates)
+    return raw
 
 
-def cmd_procedure(args) -> int:
+def cmd_procedure(args):
     folder = Path(args.tuple_dir)
     if not folder.is_dir():
         raise UsageError(f"{args.tuple_dir} is not a directory")
@@ -357,22 +306,14 @@ def cmd_procedure(args) -> int:
         raise UsageError(f"no family files (*.txt, *.json) in {args.tuple_dir}")
     families = tuple(read_family(str(p)) for p in paths)
     validate_family_tuple(families)
-    matching = _read_matching(args.matching)
-    if matching.k != families[0].k - 1:
-        raise UsageError(
-            f"matching blocks must be ({families[0].k - 1})-sets, got {matching.k}-sets"
-        )
-    s = len(families) - 1
-    prefix = interval_mask(1, s + 1)
-    if any(b & prefix for b in matching.members):
-        raise UsageError(f"matching blocks must avoid the prefix [1, {s + 1}]")
-    params = Params(n=families[0].n, k=families[0].k, s=s)
-    config = _load_threshold_config(args.config, params, t=len(matching))
-    trace = (
-        arrange_families(families, matching, config)
-        if args.arrange_only
-        else attempt_rainbow_procedure(families, matching, config)
-    )
+    matching = read_family(args.matching)
+    config = None  # the engine derives the default from the tuple and M
+    if args.config is not None:
+        params = Params(n=families[0].n, k=families[0].k, s=len(families) - 1)
+        config = ThresholdConfig.from_params(params, t=len(matching))
+        config = config.with_overrides(_read_config(args.config))
+    procedure = arrange_families if args.arrange_only else attempt_rainbow_procedure
+    trace = procedure(families, matching, config)
     report = {
         "inputs": [p.name for p in paths],
         "matching_file": Path(args.matching).name,
@@ -382,28 +323,25 @@ def cmd_procedure(args) -> int:
         report["witness_sets"] = [
             list(elements_from_mask(m)) for m in trace.witness
         ]
-    _emit(args, report)
-    return 0 if trace.outcome in ("arranged", "rainbow-found") else 1
+    return report, trace.outcome in ("arranged", "rainbow-found")
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args):
     checks = args.checks.split(",") if args.checks else None
     if args.scan_down:
         result = audit_scan_down(args.s, args.k, checks=checks, factor=args.factor, floor_s=args.floor_s)
-        _emit(args, result)
-        return 0
+        return result, True
     report = audit_inequalities(args.s, args.k, checks=checks)
     rows = [["name", "passed", "lhs", "rhs"]] + [
         [c.name, c.passed, c.lhs, c.rhs] for c in report.checks
     ]
-    _emit(args, {"report": report, "all_passed": report.all_passed}, csv_rows=rows)
-    return 0 if report.all_passed else 1
+    return {"report": report, "all_passed": report.all_passed}, report.all_passed, rows
 
 
 # --- verify family ----------------------------------------------------------
 
 
-def _verify_trials(args, params: Params, statement: str, check, accept=None, **fields) -> int:
+def _verify_trials(args, params: Params, statement: str, check, accept=None, **fields):
     """Run ``check`` on ``args.trials`` seeded families drawn under ``accept``.
 
     ``check(fam)`` returns the exact slack and, for a false verdict, the
@@ -411,6 +349,8 @@ def _verify_trials(args, params: Params, statement: str, check, accept=None, **f
     """
     if args.max_size < 1:
         raise UsageError(f"--max-size must be at least 1, got {args.max_size}")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
     cap = min(binomial(args.n, args.k), args.max_size)
     failures = []
@@ -431,14 +371,13 @@ def _verify_trials(args, params: Params, statement: str, check, accept=None, **f
         "trials": args.trials,
         "seed": args.seed,
         "failures": failures,
-        "min_slack": min(slacks) if slacks else None,
+        "min_slack": min(slacks),
         "all_ok": not failures,
     }
-    _emit(args, report)
-    return 0 if not failures else 1
+    return report, not failures
 
 
-def cmd_verify_lemma4(args) -> int:
+def cmd_verify_lemma4(args):
     params = Params(n=args.n, k=args.k, s=args.s)
 
     def check(fam):
@@ -448,7 +387,7 @@ def cmd_verify_lemma4(args) -> int:
     return _verify_trials(args, params, "weighted shadow bound", check)
 
 
-def cmd_verify_theorem3(args) -> int:
+def cmd_verify_theorem3(args):
     params = Params(n=args.n, k=args.k, s=args.s)
     b = args.b
     if args.thresholds:
@@ -468,41 +407,31 @@ def cmd_verify_theorem3(args) -> int:
     )
 
 
-def cmd_verify_emc(args) -> int:
-    rainbow = args.rainbow
+def cmd_verify_emc(args):
+    search = rainbow_max_min_size if args.rainbow else classic_max_bounded_nu
     rows = []
-    all_ok = True
     for k in range(1, args.k_max + 1):
         for s in range(1, args.s_max + 1):
             for n in range((s + 1) * k, args.n_max + 1):
                 params = Params(n=n, k=k, s=s)
-                size_a = size_extremal(params, "A")
-                size_b = size_extremal(params, "B")
-                expected = max(size_a, size_b)
-                row = {"n": n, "k": k, "s": s, "size_a": size_a, "size_b": size_b,
-                       "expected": expected}
+                row = {"n": n, "k": k, "s": s, "size_a": size_extremal(params, "A"),
+                       "size_b": size_extremal(params, "B")}
+                row["expected"] = max(row["size_a"], row["size_b"])
+                rows.append(row)
                 try:
-                    found = (
-                        rainbow_max_min_size(n, k, s)
-                        if rainbow
-                        else classic_max_bounded_nu(n, k, s)
-                    )
+                    row["found"] = search(n, k, s)
                 except ShapeError as exc:
                     row["skipped"] = str(exc)
-                    rows.append(row)
                     continue
-                row["found"] = found
-                row["verdict"] = found == expected
-                all_ok = all_ok and row["verdict"]
-                rows.append(row)
-    report = {"mode": "rainbow" if rainbow else "classic", "rows": rows, "all_ok": all_ok}
+                row["verdict"] = row["found"] == row["expected"]
+    all_ok = all(row.get("verdict", True) for row in rows)
+    report = {"mode": "rainbow" if args.rainbow else "classic", "rows": rows, "all_ok": all_ok}
     header = ["n", "k", "s", "size_a", "size_b", "expected", "found", "verdict"]
     csv_rows = [header] + [[r.get(h, "") for h in header] for r in rows]
-    _emit(args, report, csv_rows=csv_rows)
-    return 0 if all_ok else 1
+    return report, all_ok, csv_rows
 
 
-def cmd_verify_local_lym(args) -> int:
+def cmd_verify_local_lym(args):
     fam = read_family(args.input)
     ground = fam.n if args.ground is None else args.ground
     shadow_size, lhs, rhs = local_lym_sides(fam, ground)
@@ -517,17 +446,14 @@ def cmd_verify_local_lym(args) -> int:
         "rhs": rhs,
         "verdict": verdict,
     }
-    _emit(args, report)
-    return 0 if verdict else 1
+    return report, verdict
 
 
-def cmd_verify_bt(args) -> int:
+def cmd_verify_bt(args):
     fam = read_family(args.input)
     u = args.u if args.u is not None else min(fam.k + 1, fam.n)
     check = bt_check(fam, u)
-    report = {"n": fam.n, "k": fam.k, "u": u, "check": check}
-    _emit(args, report)
-    return 0 if check.verdict else 1
+    return {"n": fam.n, "k": fam.k, "u": u, "check": check}, check.verdict
 
 
 # --- parser -----------------------------------------------------------------
@@ -543,113 +469,101 @@ def _required_ints(p: argparse.ArgumentParser, *names: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Argument groups shared by several subcommands, as parent parsers.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_int_any_base, default=DEFAULT_SEED,
                         help=f"RNG seed (default 0x{DEFAULT_SEED:X})")
     common.add_argument("--format", choices=("json", "csv", "text"), default="json")
     common.add_argument("--out", default=None, help="write the report to this path")
+    family_in = argparse.ArgumentParser(add_help=False)
+    family_in.add_argument("--in", dest="input", required=True)
+    family_out = argparse.ArgumentParser(add_help=False)
+    family_out.add_argument("--family-out", "--emit", dest="family_out", default=None)
+    nks = argparse.ArgumentParser(add_help=False)
+    _required_ints(nks, "n", "k", "s")
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=int, default=100)
+    trials.add_argument("--max-size", type=int, default=60)
+
+    def add(subparsers, name, handler, *parents, **kwargs):
+        p = subparsers.add_parser(name, parents=[common, *parents], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
     parser = argparse.ArgumentParser(prog="emcverify")
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("construct", parents=[common],
-                       help="extremal families and gap sets")
+    p = add(sub, "construct", cmd_construct, nks, help="extremal families and gap sets")
     p.add_argument("--kind", required=True, choices=("A", "B", "gap-dense", "gap-sparse"))
-    _required_ints(p, "n", "k", "s")
     p.add_argument("--size-only", action="store_true")
     p.add_argument("--family-out", "--emit", dest="family_out", default=None,
                    help="also write the family file here")
-    p.set_defaults(handler=cmd_construct)
 
-    p = sub.add_parser("shift", parents=[common], help="compress a family to its shifted fixpoint")
-    p.add_argument("--in", dest="input", required=True)
+    p = add(sub, "shift", cmd_shift, family_in, family_out,
+            help="compress a family to its shifted fixpoint")
     p.add_argument("--closure", action="store_true",
                    help="iterate to the fixpoint (the default and only mode)")
-    p.add_argument("--family-out", "--emit", dest="family_out", default=None)
-    p.set_defaults(handler=cmd_shift)
 
-    p = sub.add_parser("shadow", parents=[common], help="shadow sizes against the extremal floor")
-    p.add_argument("--in", dest="input", required=True)
+    p = add(sub, "shadow", cmd_shadow, family_in, family_out,
+            help="shadow sizes against the extremal floor")
     p.add_argument("--depth", type=int, default=None, help="lower-shadow depth b")
     p.add_argument("--upper", type=int, default=None, help="upper-shadow target size u")
     p.add_argument("--direction", choices=("lower", "upper"), default="lower")
     p.add_argument("--target-size", type=int, default=None)
-    p.add_argument("--family-out", "--emit", dest="family_out", default=None)
-    p.set_defaults(handler=cmd_shadow)
 
-    p = sub.add_parser("nu", parents=[common], help="exact matching number")
-    p.add_argument("--in", dest="input", required=True)
-    p.set_defaults(handler=cmd_nu)
+    add(sub, "nu", cmd_nu, family_in, help="exact matching number")
 
-    p = sub.add_parser("rainbow", parents=[common], help="search a system of disjoint representatives")
+    p = add(sub, "rainbow", cmd_rainbow, help="search a system of disjoint representatives")
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
-    p.set_defaults(handler=cmd_rainbow)
 
-    p = sub.add_parser("sample-matching", parents=[common], help="seeded uniform block matching")
-    _required_ints(p, "n", "k", "s")
+    p = add(sub, "sample-matching", cmd_sample_matching, nks,
+            help="seeded uniform block matching")
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--family-out", default=None)
-    p.set_defaults(handler=cmd_sample_matching)
 
-    p = sub.add_parser("concentration", parents=[common],
-                       help="intersection-count distribution, exact or sampled")
+    p = add(sub, "concentration", cmd_concentration, nks,
+            help="intersection-count distribution, exact or sampled")
     p.add_argument("--in", "--family", dest="input", required=True, help="block family file")
-    _required_ints(p, "n", "k", "s")
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--beta-grid", default=None, help="comma-separated beta values")
     p.add_argument("--exact", action="store_true")
-    p.set_defaults(handler=cmd_concentration)
 
-    p = sub.add_parser("procedure", parents=[common],
-                       help="run the rearrangement and selection steps on a tuple")
+    p = add(sub, "procedure", cmd_procedure,
+            help="run the rearrangement and selection steps on a tuple")
     p.add_argument("--tuple", dest="tuple_dir", required=True,
                    help="directory of family files, sorted by name")
     p.add_argument("--matching", required=True)
     p.add_argument("--config", default=None, help="JSON threshold overrides")
     p.add_argument("--arrange-only", action="store_true")
-    p.set_defaults(handler=cmd_procedure)
 
-    p = sub.add_parser("audit", parents=[common], help="exact arithmetic audit at scale")
+    p = add(sub, "audit", cmd_audit, help="exact arithmetic audit at scale")
     _required_ints(p, "s", "k")
     p.add_argument("--checks", default=None,
                    help=f"comma-separated subset of: {','.join(CHECK_NAMES)}")
     p.add_argument("--scan-down", action="store_true")
     p.add_argument("--factor", type=int, default=2)
     p.add_argument("--floor-s", type=int, default=2)
-    p.set_defaults(handler=cmd_audit)
 
     verify = sub.add_parser("verify", help="statement-level verifiers")
     vsub = verify.add_subparsers(dest="what")
 
-    p = vsub.add_parser("lemma4", parents=[common])
-    _required_ints(p, "n", "k", "s")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-size", type=int, default=60)
-    p.set_defaults(handler=cmd_verify_lemma4)
+    add(vsub, "lemma4", cmd_verify_lemma4, nks, trials)
 
-    p = vsub.add_parser("theorem3", parents=[common])
-    _required_ints(p, "n", "k", "s")
+    p = add(vsub, "theorem3", cmd_verify_theorem3, nks, trials)
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--thresholds", default=None, help="comma-separated prefix lengths")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-size", type=int, default=60)
-    p.set_defaults(handler=cmd_verify_theorem3)
 
     for name, rainbow in (("emc", False), ("rainbow-emc", True)):
-        p = vsub.add_parser(name, parents=[common])
+        p = add(vsub, name, cmd_verify_emc)
         _required_ints(p, "n-max", "k-max", "s-max")
-        p.set_defaults(handler=cmd_verify_emc, rainbow=rainbow)
+        p.set_defaults(rainbow=rainbow)
 
-    p = vsub.add_parser("local-lym", parents=[common])
-    p.add_argument("--in", dest="input", required=True)
+    p = add(vsub, "local-lym", cmd_verify_local_lym, family_in)
     p.add_argument("--ground", type=int, default=None)
-    p.set_defaults(handler=cmd_verify_local_lym)
 
-    p = vsub.add_parser("bt", parents=[common])
-    p.add_argument("--in", dest="input", required=True)
+    p = add(vsub, "bt", cmd_verify_bt, family_in)
     p.add_argument("--u", type=int, default=None)
-    p.set_defaults(handler=cmd_verify_bt)
 
     return parser
 
@@ -664,10 +578,16 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        if isinstance(result, int):  # construct --size-only: a bare count
+            sys.stdout.write(f"{result}\n")
+            return 0
+        report, verdict, *csv_rows = result
+        _emit(args, report, *csv_rows)
     except (FamilyFormatError, UsageError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if verdict else 1
 
 
 def main(argv=None) -> int:

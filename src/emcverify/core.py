@@ -277,8 +277,13 @@ def family_from_json(obj: dict) -> SetFamily:
         n, k, sets = obj["n"], obj["k"], obj["sets"]
     except (KeyError, TypeError):
         raise FamilyFormatError("JSON family needs keys 'n', 'k', 'sets'")
-    if not isinstance(n, int) or not isinstance(k, int) or not isinstance(sets, list):
+    if type(n) is not int or type(k) is not int or not isinstance(sets, list):
         raise FamilyFormatError("JSON family: 'n'/'k' must be ints, 'sets' a list")
+    for member in sets:
+        # type() rather than isinstance: a JSON true is not the label 1
+        if not isinstance(member, list) or any(type(e) is not int for e in member):
+            raise FamilyFormatError(
+                f"JSON family: member {member!r} is not a list of integer labels")
     try:
         return SetFamily.from_sets(n, k, sets)
     except ShapeError as exc:
@@ -287,8 +292,13 @@ def family_from_json(obj: dict) -> SetFamily:
 
 def read_family(path: str) -> SetFamily:
     """Load a family from a .json or text family file."""
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FamilyFormatError(f"line {lineno}: not UTF-8 text") from None
     if path.endswith(".json"):
         try:
             obj = json.loads(text)

@@ -21,12 +21,23 @@ from .core import (
     SetFamily,
     ShapeError,
     binomial,
+    interval_mask,
     scaled_params,
     validate_family_tuple,
 )
 from .concentration import gamma_threshold
 from .densities import beta_parameter, slice_partition
 from .matchings import Matching
+
+
+def _integral(val) -> int:
+    if isinstance(val, bool) or (isinstance(val, float) and not val.is_integer()):
+        raise ValueError(val)
+    return int(val)
+
+
+# Field type (as annotated) -> converter of a raw config value.
+_CONVERTERS = {"int": _integral, "float": float, "Fraction": Fraction, "str": str}
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,22 @@ class ThresholdConfig:
             eligibility_coeff=3 * s + 2,
             one_set_rule=one_set_rule,
         )
+
+    def with_overrides(self, raw: dict) -> "ThresholdConfig":
+        """This config with the fields named in ``raw`` replaced.
+
+        Each value is converted by the type its field declares; an ``int``
+        field refuses a boolean and a number with a fractional part.
+        """
+        updates = {}
+        for key, val in raw.items():
+            if key not in self.__dataclass_fields__:
+                raise ShapeError(f"unknown config key {key!r}")
+            try:
+                updates[key] = _CONVERTERS[self.__dataclass_fields__[key].type](val)
+            except (ArithmeticError, TypeError, ValueError):
+                raise ShapeError(f"config key {key!r}: bad value {val!r}") from None
+        return replace(self, **updates)
 
 
 @dataclass(frozen=True)
@@ -162,10 +189,24 @@ class ProcedureTrace:
     config: ThresholdConfig
 
 
+def check_matching(matching: Matching, k: int, s: int) -> None:
+    """Refuse a matching whose blocks overlap, are not (k-1)-sets, or meet [1, s+1]."""
+    covered = 0
+    for b in matching.members:
+        if covered & b:
+            raise ShapeError("matching file has overlapping blocks")
+        covered |= b
+    if matching.k != k - 1:
+        raise ShapeError(f"matching blocks must be ({k - 1})-sets, got {matching.k}-sets")
+    if covered & interval_mask(1, s + 1):
+        raise ShapeError(f"matching blocks must avoid the prefix [1, {s + 1}]")
+
+
 def _arrange_core(families: FamilyTuple, matching: Matching, config: ThresholdConfig | None):
     validate_family_tuple(families)
     s = len(families) - 1
     n, k = families[0].n, families[0].k
+    check_matching(matching, k, s)
     t = len(matching.members)
     if config is None:
         config = ThresholdConfig.from_params(Params(n=n, k=k, s=s), t=t)

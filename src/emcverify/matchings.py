@@ -29,6 +29,8 @@ def matching_number(family: SetFamily) -> int:
     key is the set of excluded/used elements, which fully determines the
     subproblem.
     """
+    if family.k == 0:
+        return len(family)  # the empty set, if present, meets no member
     members = family.members
     memo: dict[int, int] = {}
 

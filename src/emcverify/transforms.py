@@ -133,15 +133,21 @@ def _drop_one(masks) -> set[int]:
 def lower_shadow(family: SetFamily, b: int) -> SetFamily:
     """All (k - b)-subsets of members; depth b with 0 <= b <= k.
 
-    A shallow shadow (b <= k - b) steps down one level at a time; no level
-    is wider than |F| * C(k, b) there.  A deeper one would pass through the
-    middle levels, up to C(k, k/2) sets per member, so it takes the
-    (k - b)-subsets of each member directly.
+    The guard counts |F| * C(k, b) candidates.  A shallow shadow
+    (b <= k - b) steps down one level at a time; no level is wider than
+    that count there.  A deeper one would pass through the middle levels,
+    up to C(k, k/2) sets per member, so it takes the (k - b)-subsets of
+    each member directly.
     """
     if not (0 <= b <= family.k):
         raise ShapeError(f"lower_shadow: depth {b} outside [0, {family.k}]")
     if b == 0:
         return family
+    work = len(family) * binomial(family.k, b)
+    if work > MATERIALIZATION_CAP:
+        raise ShapeError(
+            f"lower_shadow: would touch {work} candidate sets, cap is {MATERIALIZATION_CAP}"
+        )
     t = family.k - b
     if b <= t:
         cur = family.members

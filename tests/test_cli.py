@@ -1,21 +1,27 @@
 """End-to-end command tests: exit codes, report shapes, determinism.
 
 Everything drives ``run(argv)`` in-process; stdout/stderr go through capsys
-and files through tmp_path.  Only the import-cost check shells out, because
-it needs a fresh interpreter.
+and files through tmp_path, except in the hypothesis test, which cannot take
+function-scoped fixtures and redirects both itself.  Only the import-cost
+check shells out, because it needs a fresh interpreter.
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emcverify
 from emcverify.cli import run
 from emcverify.core import SetFamily, read_family, write_family
+from emcverify.engine import ThresholdConfig
 
 
 def fam_file(path, n, k, *sets):
@@ -106,6 +112,12 @@ class TestShiftShadowNu:
         code, rep = run_json(capsys, ["shadow", "--in", src, "--depth", "29"])
         assert code == 0 and rep["shadow_size"] == 30
 
+    def test_deep_lower_shadow_refused_before_work(self, capsys, tmp_path):
+        # C(30, 15) ≈ 1.6e8 candidate sets from one 30-set
+        src = fam_file(tmp_path / "f.txt", 30, 30, tuple(range(1, 31)))
+        assert run(["shadow", "--in", src, "--depth", "15"]) == 2
+        assert "lower_shadow: would touch 155117520 candidate sets" in capsys.readouterr().err
+
     def test_shadow_depth_upper_conflict(self, capsys, tmp_path):
         src = fam_file(tmp_path / "f.txt", 4, 2, (1, 2))
         assert run(["shadow", "--in", src, "--depth", "1", "--upper", "3"]) == 2
@@ -160,6 +172,12 @@ class TestFamilyFileErrors:
         bad.write_text("{\n  broken\n")
         assert run(["nu", "--in", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
+
+    def test_non_utf8_family(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"3 2\n1 2\n1 \xff\n")
+        assert run(["nu", "--in", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
 
 
 class TestSampleMatchingCmd:
@@ -318,15 +336,19 @@ class TestAuditCmd:
         assert run(["audit", "--s", "100", "--k", "2", "--checks", "bogus"]) == 2
 
 
-@pytest.fixture
-def tuple_dir(tmp_path):
-    d = tmp_path / "tuple"
+def write_tuple(root):
+    d = root / "tuple"
     d.mkdir()
     layer = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
     fam_file(d / "f0.txt", 6, 2, *layer)
     fam_file(d / "f1.txt", 6, 2, *layer)
-    matching = fam_file(tmp_path / "m.txt", 6, 1, (3,), (4,))
+    matching = fam_file(root / "m.txt", 6, 1, (3,), (4,))
     return d, matching
+
+
+@pytest.fixture
+def tuple_dir(tmp_path):
+    return write_tuple(tmp_path)
 
 
 class TestProcedureCmd:
@@ -408,11 +430,16 @@ class TestProcedureCmd:
     ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--max-size", "0"],
     ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--thresholds", "0,5"],
     ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--thresholds", "0,1"],
+    ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--trials", "0"],
+    ["verify", "lemma4", "--n", "8", "--k", "2", "--s", "1", "--trials", "-5"],
+    ["procedure", "--config", '{"u_target": 1.7}'],
+    ["procedure", "--config", '{"u_target": true}'],
 ], ids=["config-not-json", "config-bad-value", "beta-grid", "thresholds",
         "config-third-slice-high", "config-third-slice-zero", "config-u-target",
         "config-gamma", "config-one-set-rule", "config-s", "thresholds-count", "depth-b",
         "max-size-zero", "theorem3-max-size-zero", "threshold-zero-division",
-        "thresholds-unmeetable"])
+        "thresholds-unmeetable", "trials-zero", "trials-negative", "config-int-fraction",
+        "config-int-bool"])
 def test_malformed_value_is_usage_error(capsys, tuple_dir, tmp_path, argv):
     d, matching = tuple_dir
     if argv[0] == "procedure":
@@ -424,6 +451,84 @@ def test_malformed_value_is_usage_error(capsys, tuple_dir, tmp_path, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+_small = st.integers(-2, 10)
+_scalar = st.one_of(_small, st.floats(-2, 10), st.booleans(), st.none(),
+                    st.text("0123456789-./ ", max_size=3))
+_text_family = st.lists(st.lists(_small, max_size=4), max_size=5).map(
+    lambda lines: "".join(" ".join(map(str, line)) + "\n" for line in lines).encode())
+_family_bytes = st.one_of(st.binary(max_size=24), _text_family,
+                          st.tuples(_text_family, st.binary(max_size=2)).map(b"".join))
+_json_family = st.fixed_dictionaries({
+    "n": st.one_of(st.integers(0, 10), _scalar),
+    "k": st.one_of(st.integers(0, 4), _scalar),
+    "sets": st.lists(st.one_of(st.lists(_scalar, max_size=4), _scalar), max_size=4),
+})
+_config = st.dictionaries(st.sampled_from([*ThresholdConfig.__dataclass_fields__, "bogus"]),
+                          _scalar, max_size=3)
+_INT_FIELDS = {k for k, f in ThresholdConfig.__dataclass_fields__.items() if f.type == "int"}
+
+# command -> (argv, required integer flags, optional integer flags); "{f}" is a
+# drawn family file, "{m}" a drawn or a valid matching, "{c}" a drawn config
+_FUZZ_COMMANDS = {
+    "nu": (["nu", "--in", "{f}"], [], []),
+    "shadow": (["shadow", "--in", "{f}"], [], ["--depth", "--upper", "--target-size"]),
+    "local-lym": (["verify", "local-lym", "--in", "{f}"], [], ["--ground"]),
+    "bt": (["verify", "bt", "--in", "{f}"], [], ["--u"]),
+    "lemma4": (["verify", "lemma4", "--n", "8", "--k", "2", "--s", "1"],
+               ["--trials"], ["--max-size"]),
+    "theorem3": (["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1"],
+                 ["--trials"], ["--b", "--max-size"]),
+    "sample-matching": (["sample-matching"], ["--n", "--k", "--s"], ["--t"]),
+    "audit": (["audit"], ["--s", "--k"], ["--factor", "--floor-s"]),
+    "procedure": (["procedure", "--tuple", "{d}", "--matching", "{m}", "--config", "{c}"], [], []),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return root, *write_tuple(root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_inputs_keep_exit_code_contract(fuzz_root, data):
+    """Any family bytes, JSON family, config or small flag value ends in 0, 1 or 2.
+
+    A bad input exits 2 without a traceback; a verify run over no trials
+    and a config with a fractional or boolean integer are bad inputs.
+    """
+    root, tuple_dir, valid_matching = fuzz_root
+    name = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)), label="command")
+    argv, required, optional = _FUZZ_COMMANDS[name]
+    if data.draw(st.booleans(), label="json"):
+        family = root / "f.json"
+        family.write_text(json.dumps(data.draw(_json_family, label="family")))
+    else:
+        family = root / "f.txt"
+        family.write_bytes(data.draw(_family_bytes, label="family"))
+    config = data.draw(_config, label="config")
+    (root / "c.json").write_text(json.dumps(config))
+    matching = valid_matching if data.draw(st.booleans(), label="valid M") else str(family)
+    argv = [a.format(f=family, d=tuple_dir, m=matching, c=root / "c.json") for a in argv]
+    flags = {f: data.draw(_small, label=f) for f in required}
+    flags.update({f: data.draw(_small, label=f) for f in optional if data.draw(st.booleans())})
+    for flag, value in flags.items():
+        argv += [flag, str(value)]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if flags.get("--trials", 1) < 1:
+        assert code == 2
+    if name == "procedure" and any(
+        isinstance(v, bool) or (isinstance(v, float) and not v.is_integer())
+        for k, v in config.items() if k in _INT_FIELDS
+    ):
+        assert code == 2
 
 
 def test_cli_import_does_not_load_numpy():

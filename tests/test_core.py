@@ -298,6 +298,29 @@ class TestFamilyIO:
             write_family(path, fam)
             assert read_family(path) == fam
 
+    @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            ("f.txt", b"3 2\n1 2\n1 \xff\n", "line 3: not UTF-8 text"),
+            ("f.json", b'{"n": 3, "k": 2, "sets": [[1, 2.5]]}',
+             "JSON family: member [1, 2.5] is not a list of integer labels"),
+            ("f.json", b'{"n": 3, "k": 2, "sets": [[1, "2"]]}',
+             "JSON family: member [1, '2'] is not a list of integer labels"),
+            ("f.json", b'{"n": 3, "k": 1, "sets": [5]}',
+             "JSON family: member 5 is not a list of integer labels"),
+            ("f.json", b'{"n": 3, "k": 2, "sets": [[1, true]]}',
+             "JSON family: member [1, True] is not a list of integer labels"),
+            ("f.json", b'{"n": true, "k": 0, "sets": []}',
+             "JSON family: 'n'/'k' must be ints, 'sets' a list"),
+        ],
+    )
+    def test_read_family_malformed(self, tmp_path, name, data, message):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(FamilyFormatError) as info:
+            read_family(str(path))
+        assert str(info.value) == message
+
     def test_bad_json_file(self, tmp_path):
         path = str(tmp_path / "bad.json")
         path_obj = tmp_path / "bad.json"

@@ -50,6 +50,21 @@ class TestThresholdConfig:
         with pytest.raises(ShapeError):
             ThresholdConfig.from_params(Params(n=8, k=2, s=1), one_set_rule="always")
 
+    def test_with_overrides_converts_by_field_type(self):
+        base = ThresholdConfig.from_params(Params(n=8, k=2, s=1))
+        cfg = base.with_overrides({"u_target": 1.0, "w2_need": "3", "w1_cut": "1/3", "gamma": 1})
+        assert (cfg.u_target, cfg.w2_need, cfg.w1_cut, cfg.gamma) == (1, 3, Fraction(1, 3), 1.0)
+        assert type(cfg.u_target) is int and type(cfg.gamma) is float
+        for raw, message in [
+            ({"u_target": 1.7}, "config key 'u_target': bad value 1.7"),
+            ({"u_target": True}, "config key 'u_target': bad value True"),
+            ({"w1_cut": "abc"}, "config key 'w1_cut': bad value 'abc'"),
+            ({"bogus": 1}, "unknown config key 'bogus'"),
+        ]:
+            with pytest.raises(ShapeError) as info:
+                base.with_overrides(raw)
+            assert str(info.value) == message
+
 
 class TestComputeM:
     def setup_method(self):
@@ -157,6 +172,19 @@ class TestEmptyFamilies:
         assert any("R4" in a for a in trace.assumptions_unmet)
         assert any("W2" in a for a in trace.assumptions_unmet)
         assert trace.beta_large == ()
+
+
+@pytest.mark.parametrize("procedure", [arrange_families, attempt_rainbow_procedure])
+@pytest.mark.parametrize("sets, message", [
+    ([(3, 4), (4, 5)], "matching file has overlapping blocks"),
+    ([(3,), (4,)], r"matching blocks must be \(2\)-sets, got 1-sets"),
+    ([(2, 3), (4, 5)], r"matching blocks must avoid the prefix \[1, 2\]"),
+], ids=["overlap", "block-size", "prefix"])
+def test_bad_matching_refused(procedure, sets, message):
+    # s = 1 and k = 3: M must be disjoint 2-sets inside [3, 7]
+    layer = SetFamily.from_masks(7, 3, enumerate_ksets(7, 3))
+    with pytest.raises(ShapeError, match=message):
+        procedure((layer, layer), blocks(7, *sets))
 
 
 def build_swap_instance():

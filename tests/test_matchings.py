@@ -50,6 +50,12 @@ class TestMatchingNumber:
             f = random_family(rng, n, k, rng.randint(0, min(binomial(n, k), 18)))
             assert matching_number(f) == brute_matching_number(f)
 
+    def test_empty_set_member(self):
+        # the k = 0 layer holds only the empty set, which meets no member
+        for n in (0, 3):
+            empty_layer = SetFamily.from_masks(n, 0, [0])
+            assert matching_number(empty_layer) == brute_matching_number(empty_layer) == 1
+
     def test_monotone_under_union(self):
         rng = random.Random(71)
         for _ in range(60):

@@ -166,6 +166,11 @@ class TestShadows:
         with pytest.raises(ShapeError, match="cap is"):
             upper_shadow(fam(40, 1, (1,)), 20)
 
+    def test_lower_guard_refuses_before_work(self):
+        # one 30-set has C(30, 15) ≈ 1.6e8 subsets of size 15
+        with pytest.raises(ShapeError, match="lower_shadow: would touch 155117520 candidate sets"):
+            lower_shadow(fam(30, 30, tuple(range(1, 31))), 15)
+
     def test_duality(self):
         # upper shadow = complement of the lower shadow of the complements
         rng = random.Random(29)
