@@ -21,6 +21,8 @@ from pathlib import Path
 
 from . import SPEC_VERSION
 from .concentration import (
+    beta_tails,
+    default_beta_grid,
     distribution_mean,
     exact_eta_distribution,
     layer_density,
@@ -62,7 +64,7 @@ from .engine import (
     audit_inequalities,
     audit_scan_down,
 )
-from .matchings import find_rainbow, matching_number, sample_matching
+from .matchings import find_rainbow, matching_count, matching_number, sample_matching
 from .transforms import (
     bt_check,
     kk_min_shadow_size,
@@ -262,12 +264,16 @@ def cmd_concentration(args):
     params = Params(n=args.n, k=args.k, s=args.s)
     if g.n != params.n:
         raise UsageError(f"family ground [{g.n}] does not match --n {params.n}")
+    grid = _number_list(args.beta_grid, float, "--beta-grid") if args.beta_grid else None
     if args.exact:
         dist = exact_eta_distribution(g, params, t=args.t)
         mean = distribution_mean(dist)
         alpha = layer_density(g, params)
         t_val = params.t if args.t is None else args.t
         verdict = mean == alpha * t_val
+        total = matching_count(params, t_val)
+        matchings = {eta: int(p * total) for eta, p in dist.items()}
+        betas = default_beta_grid(params.s) if grid is None else grid
         report = {
             "mode": "exact",
             "alpha": alpha,
@@ -276,10 +282,10 @@ def cmd_concentration(args):
             "expected_mean": alpha * t_val,
             "verdict": verdict,
             "distribution": {str(k_): str(v) for k_, v in sorted(dist.items())},
+            "beta_grid": beta_tails(matchings, total, alpha * t_val, t_val, betas),
         }
         rows = [["eta", "probability"]] + [[k_, str(v)] for k_, v in sorted(dist.items())]
         return report, verdict, rows
-    grid = _number_list(args.beta_grid, float, "--beta-grid") if args.beta_grid else None
     rep = monte_carlo_eta(g, params, trials=args.trials, seed=args.seed, t=args.t, beta_grid=grid)
     report = {"mode": "monte-carlo", "seed": args.seed, "report": rep}
     rows = [["eta", "count"]] + [[k_, v] for k_, v in sorted(rep.eta_histogram.items())]

@@ -6,6 +6,12 @@ of G in its layer — each block of M is marginally a uniform (k-1)-set, and
 expectation is linear regardless of the dependence between blocks.  The tail
 is sub-Gaussian: Pr[|eta - alpha*t| >= 2*beta*sqrt(t)] <= 2*exp(-beta^2/2).
 
+The exact law counts matchings by eta with a dynamic program over the
+canonical recursion of `matchings.enumerate_matchings`, so it never lists the
+matchings; `beta_tails` then gives the exact tail mass for each beta.  Its
+guard refuses a shape before any work, from (n', k-1, t) alone.  Monte Carlo
+reads the same tails off a sampled histogram.
+
 Everything family-side stays in exact rationals; only the gamma threshold and
 the tail bounds use doubles (documented slack 1e-9).
 """
@@ -15,10 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .core import FamilyTuple, Params, SetFamily, ShapeError, binomial, validate_family_tuple
 from .densities import alpha_profile, slice_partition
-from .matchings import enumerate_matchings, sample_matching
+from .matchings import ENUMERATION_GUARD, matching_count, matching_shape, sample_matching
+
+# The exact law refuses a shape only when it has more than ENUMERATION_GUARD
+# matchings (the most the enumerator ever answered for) and its work bound
+# exceeds this cap.  On a 2-vCPU VM a bound of 2.8e7 took 0.7 s at
+# (n', k, t) = (22, 3, 7), and 3.0e7 took 0.7 s at (564, 2, 282).
+EXACT_WORK_CAP = 30_000_000
 
 
 def _check_block_family(g: SetFamily, params: Params) -> None:
@@ -38,19 +51,140 @@ def layer_density(g: SetFamily, params: Params) -> Fraction:
     return Fraction(len(g), binomial(params.n_prime, params.k - 1))
 
 
+def exact_work_bound(n_prime: int, block: int, t: int) -> int:
+    """Bound on the work of the exact-law DP, from (n', k-1, t) alone.
+
+    Sums, over the position h of the smallest undecided element and the
+    number j < t of blocks already opened: states x moves x counts, where
+    states = min(sum of C(n'-h, c) over c <= min(j(k-2), n'-h-(t-j)(k-1)),
+    matchings of j blocks), moves = 1 + C(n'-h-1, k-2), and counts = t-j+1.
+    Every feasible term is at least 2(t-j+1), and that floor has a closed
+    form.  Once the floor or the running sum passes EXACT_WORK_CAP, the value
+    so far is returned, so any value above the cap only says "above".
+    """
+    extra = block - 1
+    a, s1, s2 = n_prime + 1, t * (t + 1) // 2, t * (t + 1) * (2 * t + 1) // 6
+    floor = 2 * (a * (s1 + t) - block * (s2 + s1))  # sum of 2(i+1)(n'+1-i*block), i = t-j
+    if floor > EXACT_WORK_CAP:
+        return floor
+    bound = 0
+    opened = 1  # matchings of j blocks in X
+    for j in range(t):
+        if j:
+            opened = opened * binomial(n_prime - (j - 1) * block, block) // j
+        for h in range(n_prime - (t - j) * block + 1):
+            top = min(j * extra, n_prime - h - (t - j) * block)
+            states = min(sum(binomial(n_prime - h, c) for c in range(top + 1)), opened)
+            bound += states * (1 + binomial(n_prime - h - 1, extra)) * (t - j + 1)
+            if bound > EXACT_WORK_CAP:
+                return bound
+    return bound
+
+
+def _binomial_above(a: int, r: int, limit: int) -> int:
+    """C(a, r), or a partial product above `limit` that proves C(a, r) > limit."""
+    r = min(r, a - r)
+    value = 1
+    for i in range(1, r + 1):
+        value = value * (a - r + i) // i  # C(a - r + i, i), nondecreasing in i
+        if value > limit:
+            break
+    return value
+
+
+def _matchings_above(n_prime: int, block: int, t: int, limit: int) -> bool:
+    """Whether `matching_count` exceeds `limit`, by its product with early exit.
+
+    Every factor of C(n', t*block) * prod_i C(i*block - 1, block - 1) is at
+    least 1, so a partial product past `limit` decides.
+    """
+    count = _binomial_above(n_prime, t * block, limit)
+    if block > 1:
+        for i in range(2, t + 1):
+            if count > limit:
+                break
+            count *= binomial(i * block - 1, block - 1)
+    return count > limit
+
+
+def check_exact_work(params: Params, t: int) -> None:
+    """Refuse, before any work, a shape the exact law should not attempt."""
+    _, block = matching_shape(params, t)
+    n_prime = params.n_prime
+    if _matchings_above(n_prime, block, t, ENUMERATION_GUARD):
+        bound = exact_work_bound(n_prime, block, t)
+        if bound > EXACT_WORK_CAP:
+            raise ShapeError(
+                f"exact eta law at n'={n_prime}, k={params.k}, t={t}: more than "
+                f"{ENUMERATION_GUARD} matchings and a work bound above {EXACT_WORK_CAP}"
+            )
+
+
 def exact_eta_distribution(
     g: SetFamily, params: Params, t: int | None = None
 ) -> dict[int, Fraction]:
-    """Exact law of eta = |G ∩ M| by enumerating every t-matching."""
+    """Exact law of eta = |G ∩ M| over a uniform t-matching M, increasing in eta.
+
+    Counts matchings by eta over the canonical recursion of
+    `enumerate_matchings`: the smallest undecided element of X is left
+    uncovered, or it opens a block with k-2 larger undecided elements.  A
+    state is (undecided elements, blocks still needed); the undecided
+    elements are those from the smallest undecided position h on, minus the
+    ones open blocks already took, kept as a mask relative to h.  Each state
+    is expanded once, in increasing h, and carries the eta counts of the
+    partial matchings that reach it, packed into one integer with `width`
+    bits per value of eta (no count exceeds the total).  Only the states ahead
+    of h are held, and nothing recurses.  The counts are divided by
+    `matching_count` at the end.  `check_exact_work` refuses the shape first.
+    """
     _check_block_family(g, params)
-    members = set(g.members)
-    counts: dict[int, int] = {}
-    total = 0
-    for matching in enumerate_matchings(params, t):
-        eta = sum(1 for b in matching.members if b in members)
-        counts[eta] = counts.get(eta, 0) + 1
-        total += 1
-    return {eta: Fraction(c, total) for eta, c in sorted(counts.items())}
+    t, block = matching_shape(params, t)
+    check_exact_work(params, t)
+    total = matching_count(params, t)
+    n_prime = params.n_prime
+    shift = params.x_first - 1
+    in_g = set()  # G's blocks as (position of their smallest element, mask relative to it)
+    for m in g.members:
+        rel = m >> shift
+        low = (rel & -rel).bit_length() - 1
+        in_g.add((low, rel >> low))
+    width = total.bit_length()
+    done = 0 if t else 1  # packed counts of the complete matchings
+    ahead: dict[int, dict[tuple[int, int], int]] = {0: {(0, t): 1}} if t else {}
+    for h in range(n_prime):
+        layer = ahead.pop(h, None)
+        if layer is None:
+            continue
+        span = n_prime - h
+        for (taken, need), counts in layer.items():
+            # taken: the positions above h already in a block, as bits relative
+            # to h; bit 0 is h itself, which is free
+            moves = []
+            if span - taken.bit_count() > need * block:
+                moves.append((taken | 1, need, counts))
+            others = []
+            if block > 1:
+                free = ((1 << span) - 2) & ~taken
+                while free:
+                    low = free & -free
+                    others.append(low)
+                    free ^= low
+            for combo in combinations(others, block - 1):
+                blk = 1 + sum(combo)
+                packed = counts << width if (h, blk) in in_g else counts
+                if need == 1:
+                    done += packed
+                else:
+                    moves.append((taken | blk, need - 1, packed))
+            for decided, left, packed in moves:
+                step = (decided ^ (decided + 1)).bit_length() - 1  # trailing decided positions
+                bucket = ahead.setdefault(h + step, {})
+                key = (decided >> step, left)
+                bucket[key] = bucket.get(key, 0) + packed
+    unit = (1 << width) - 1
+    counts = [(done >> (eta * width)) & unit for eta in range(t + 1)]
+    assert sum(counts) == total, "exact eta counts do not sum to the matching count"
+    return {eta: Fraction(c, total) for eta, c in enumerate(counts) if c}
 
 
 def distribution_mean(dist: dict[int, Fraction]) -> Fraction:
@@ -79,6 +213,30 @@ class ConcentrationReport:
     empirical_mean: Fraction
     eta_histogram: dict[int, int]
     beta_grid: tuple[BetaTail, ...]
+
+
+def beta_tails(
+    hist: dict[int, int], total: int, center: Fraction, t: int, betas: tuple[float, ...]
+) -> tuple[BetaTail, ...]:
+    """For each beta, the weight of eta with |eta - center| >= 2*beta*sqrt(t).
+
+    `hist` counts trials (Monte Carlo) or matchings (exact law) by eta, and
+    `total` is their sum, so tail_freq is a frequency or an exact probability.
+    """
+    tails = []
+    for beta in betas:
+        cutoff = 2.0 * beta * math.sqrt(t)
+        count = sum(c for eta, c in hist.items() if abs(Fraction(eta) - center) >= cutoff)
+        tails.append(
+            BetaTail(
+                beta=beta,
+                threshold=cutoff,
+                tail_count=count,
+                tail_freq=Fraction(count, total),
+                bound=tail_bound(beta),
+            )
+        )
+    return tuple(tails)
 
 
 def default_beta_grid(s: int) -> tuple[float, ...]:
@@ -113,27 +271,13 @@ def monte_carlo_eta(
         eta = sum(1 for b in m.members if b in members)
         hist[eta] = hist.get(eta, 0) + 1
     mean = Fraction(sum(eta * c for eta, c in hist.items()), trials)
-    center = alpha * t_val
-    tails = []
-    for beta in betas:
-        cutoff = 2.0 * beta * math.sqrt(t_val)
-        count = sum(c for eta, c in hist.items() if abs(Fraction(eta) - center) >= cutoff)
-        tails.append(
-            BetaTail(
-                beta=beta,
-                threshold=cutoff,
-                tail_count=count,
-                tail_freq=Fraction(count, trials),
-                bound=tail_bound(beta),
-            )
-        )
     return ConcentrationReport(
         alpha=alpha,
         t=t_val,
         trials=trials,
         empirical_mean=mean,
         eta_histogram=dict(sorted(hist.items())),
-        beta_grid=tuple(tails),
+        beta_grid=beta_tails(hist, trials, alpha * t_val, t_val, betas),
     )
 
 

@@ -111,10 +111,21 @@ class Params:
 
 
 def scaled_params(s: int, k: int) -> Params:
-    # n = ceil(3e(s+1)k); the float product carries ~1e-9 relative slack,
-    # far below the integer spacing at every s this is used for.
-    n = math.ceil(3 * math.e * (s + 1) * k)
-    return Params(n=n, k=k, s=s)
+    """Params at n = ceil(3e(s+1)k), exact at any s.
+
+    e lies strictly between sum_{i<=N} 1/i! and that sum plus 1/(N!*N).  N
+    doubles until both ends give the same ceiling, which happens because
+    3e(s+1)k is irrational.
+    """
+    q = 3 * (s + 1) * k
+    terms = 16
+    while True:
+        fact = math.factorial(terms)
+        low = sum(fact // math.factorial(i) for i in range(terms + 1))  # fact * sum 1/i!
+        n = -(-q * low // fact)
+        if n == -(-q * (low * terms + 1) // (fact * terms)):
+            return Params(n=n, k=k, s=s)
+        terms *= 2
 
 
 @dataclass(frozen=True)
@@ -216,6 +227,13 @@ def lex_initial_family(n: int, k: int, m: int, order: str = "lex") -> SetFamily:
 # ascending space-separated labels; '#' starts a comment.  JSON alternative:
 # {"n": ..., "k": ..., "sets": [[...], ...]}.
 
+def _check_ground(n: int, where: str) -> None:
+    # a ground of n elements makes n-bit masks, so it is capped like a family
+    if n > MATERIALIZATION_CAP:
+        raise FamilyFormatError(
+            f"{where}ground n={n} exceeds the cap {MATERIALIZATION_CAP}")
+
+
 def parse_family_text(text: str) -> SetFamily:
     n = k = None
     masks = []
@@ -235,6 +253,7 @@ def parse_family_text(text: str) -> SetFamily:
             n, k = values
             if k < 0 or n < 0 or n < k:
                 raise FamilyFormatError(f"line {lineno}: bad header n={n} k={k}")
+            _check_ground(n, f"line {lineno}: ")
             continue
         if len(values) != k:
             raise FamilyFormatError(
@@ -279,11 +298,15 @@ def family_from_json(obj: dict) -> SetFamily:
         raise FamilyFormatError("JSON family needs keys 'n', 'k', 'sets'")
     if type(n) is not int or type(k) is not int or not isinstance(sets, list):
         raise FamilyFormatError("JSON family: 'n'/'k' must be ints, 'sets' a list")
+    _check_ground(n, "JSON family: ")
     for member in sets:
         # type() rather than isinstance: a JSON true is not the label 1
         if not isinstance(member, list) or any(type(e) is not int for e in member):
             raise FamilyFormatError(
                 f"JSON family: member {member!r} is not a list of integer labels")
+        for e in member:
+            if not 1 <= e <= n:
+                raise FamilyFormatError(f"JSON family: label {e} outside [1, {n}]")
     try:
         return SetFamily.from_sets(n, k, sets)
     except ShapeError as exc:

@@ -9,7 +9,6 @@ the exhaustive enumerator.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -18,7 +17,8 @@ from .core import FamilyTuple, Params, SetFamily, ShapeError, binomial, validate
 # A matching is serialized and passed around as a plain family of blocks.
 Matching = SetFamily
 
-_ENUMERATION_GUARD = 10_000_000
+# enumerate_matchings refuses shapes with more matchings than this.
+ENUMERATION_GUARD = 10_000_000
 
 
 def matching_number(family: SetFamily) -> int:
@@ -131,11 +131,10 @@ def hall_rainbow_in_matching(families: FamilyTuple, matching: Matching) -> Rainb
     return RainbowWitness(assignment=tuple(assignment), complete=matched == len(families))
 
 
-def matching_count(params: Params, t: int | None = None) -> int:
-    """Number of unordered t-matchings of (k-1)-blocks inside X.
+def matching_shape(params: Params, t: int | None = None) -> tuple[int, int]:
+    """(t, block size k-1) of a t-matching in X; t defaults to params.t.
 
-    Ordered choices divided by the t! block orderings:
-    (1/t!) * prod over i < t of C(n' - i(k-1), k-1).
+    Raises ShapeError when no such matching exists.
     """
     t = params.t if t is None else t
     block = params.k - 1
@@ -145,10 +144,22 @@ def matching_count(params: Params, t: int | None = None) -> int:
         raise ShapeError(
             f"matching of {t} blocks of size {block} does not fit in |X| = {params.n_prime}"
         )
-    total = 1
-    for i in range(t):
-        total *= binomial(params.n_prime - i * block, block)
-    return total // math.factorial(t)
+    return t, block
+
+
+def matching_count(params: Params, t: int | None = None) -> int:
+    """Number of unordered t-matchings of (k-1)-blocks inside X.
+
+    Choose the t(k-1) covered elements, C(n', t(k-1)), then split them into
+    blocks: with i blocks left to form, the smallest element not yet in a
+    block picks its k-2 partners among the other i(k-1) - 1.
+    """
+    t, block = matching_shape(params, t)
+    total = binomial(params.n_prime, t * block)
+    if block > 1:
+        for i in range(2, t + 1):
+            total *= binomial(i * block - 1, block - 1)
+    return total
 
 
 def sample_matching(params: Params, seed: int, t: int | None = None) -> Matching:
@@ -159,14 +170,7 @@ def sample_matching(params: Params, seed: int, t: int | None = None) -> Matching
     t! * ((k-1)!)^t * (n' - t(k-1))! permutations, so the canonical forms are
     equidistributed.
     """
-    t = params.t if t is None else t
-    block = params.k - 1
-    if block < 1:
-        raise ShapeError("matchings need k >= 2 (blocks of size k - 1 >= 1)")
-    if t < 0 or params.n_prime < block * t:
-        raise ShapeError(
-            f"matching of {t} blocks of size {block} does not fit in |X| = {params.n_prime}"
-        )
+    t, block = matching_shape(params, t)
     pool = list(params.x_elements())
     random.Random(seed).shuffle(pool)
     masks = []
@@ -216,9 +220,9 @@ def enumerate_matchings(params: Params, t: int | None = None):
     """
     t = params.t if t is None else t
     total = matching_count(params, t)
-    if total > _ENUMERATION_GUARD:
+    if total > ENUMERATION_GUARD:
         raise ShapeError(
-            f"enumerate_matchings: {total} matchings exceeds guard {_ENUMERATION_GUARD}"
+            f"enumerate_matchings: {total} matchings exceeds guard {ENUMERATION_GUARD}"
         )
     block = params.k - 1
     elements = list(params.x_elements())

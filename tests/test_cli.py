@@ -8,9 +8,11 @@ check shells out, because it needs a fresh interpreter.
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -173,6 +175,15 @@ class TestFamilyFileErrors:
         assert run(["nu", "--in", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
 
+    def test_unbounded_ground_refused_at_once(self, capsys, tmp_path):
+        bad = tmp_path / "big.txt"
+        bad.write_text("1000000000000 1\n1\n")
+        start = time.perf_counter()
+        assert run(["nu", "--in", str(bad)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: line 1: ground n=1000000000000 exceeds the cap 50000000\n")
+
     def test_non_utf8_family(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"3 2\n1 2\n1 \xff\n")
@@ -230,6 +241,39 @@ class TestConcentrationCmd:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "eta,count"
         assert sum(int(r.split(",")[1]) for r in lines[1:]) == 200
+
+    def test_exact_tails_of_the_star(self, capsys, tmp_path):
+        # n' = 6, t = 3: every matching covers element 3, so eta = 1 = alpha*t
+        g = fam_file(tmp_path / "g.txt", 8, 2, *[(3, x) for x in range(4, 9)])
+        argv = ["concentration", "--in", g, "--n", "8", "--k", "3", "--s", "1", "--t", "3",
+                "--exact"]
+        code, rep = run_json(capsys, argv + ["--beta-grid", "0,0.5"])
+        assert code == 0 and rep["distribution"] == {"1": "1"}
+        assert [bt["beta"] for bt in rep["beta_grid"]] == [0.0, 0.5]
+        assert [bt["tail_count"] for bt in rep["beta_grid"]] == [15, 0]
+        assert [bt["tail_freq"] for bt in rep["beta_grid"]] == ["1", "0"]
+        assert rep["beta_grid"][1]["threshold"] == 2 * 0.5 * math.sqrt(3)
+        _, rep = run_json(capsys, argv)
+        assert [bt["beta"] for bt in rep["beta_grid"]] == [0.5, 1.0, 2.0, 3.0]
+        assert all(bt["tail_freq"] == "0" for bt in rep["beta_grid"])
+
+    def test_exact_beyond_the_enumerator(self, capsys, tmp_path):
+        # n' = 22, t = 7: 4.3e10 matchings, past the old 1e7 enumeration guard
+        g = fam_file(tmp_path / "g.txt", 25, 2, (4, 5), (4, 6), (5, 9), (10, 20))
+        code, rep = run_json(capsys, ["concentration", "--in", g, "--n", "25", "--k", "3",
+                                      "--s", "2", "--exact"])
+        assert code == 0 and rep["verdict"]
+        assert rep["mean"] == rep["expected_mean"] == "4/33"
+
+    def test_exact_guard_refuses_before_work(self, capsys, tmp_path):
+        g = fam_file(tmp_path / "g.txt", 29, 3, (4, 5, 6))
+        start = time.perf_counter()
+        assert run(["concentration", "--in", g, "--n", "29", "--k", "4", "--s", "2",
+                    "--exact"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: exact eta law at n'=26, k=4, t=6")
+        assert "work bound above" in err
 
     def test_ground_mismatch(self, capsys, tmp_path):
         g = fam_file(tmp_path / "g.txt", 6, 1, (3,))

@@ -7,16 +7,21 @@ import pytest
 
 from conftest import brute_matchings
 from emcverify.concentration import (
+    EXACT_WORK_CAP,
+    beta_tails,
+    check_exact_work,
     default_beta_grid,
     distribution_mean,
     event_probe,
     exact_eta_distribution,
+    exact_work_bound,
     gamma_threshold,
     layer_density,
     monte_carlo_eta,
     tail_bound,
 )
 from emcverify.core import Params, SetFamily, ShapeError, binomial, enumerate_ksets
+from emcverify.matchings import ENUMERATION_GUARD, enumerate_matchings, matching_count
 
 
 def block_layer(params: Params) -> SetFamily:
@@ -104,6 +109,155 @@ class TestExactDistribution:
                     dist = exact_eta_distribution(g, p, t)
                     assert distribution_mean(dist) == layer_density(g, p) * t
                     assert sum(dist.values()) == 1
+
+
+def enumerated_eta_dist(g: SetFamily, params: Params, t: int) -> dict[int, Fraction]:
+    """The exact law by listing every t-matching, in increasing eta."""
+    members = set(g.members)
+    counts: dict[int, int] = {}
+    for matching in enumerate_matchings(params, t):
+        eta = sum(1 for b in matching.members if b in members)
+        counts[eta] = counts.get(eta, 0) + 1
+    total = sum(counts.values())
+    return {eta: Fraction(c, total) for eta, c in sorted(counts.items())}
+
+
+def half_layer(params: Params, rng: random.Random) -> SetFamily:
+    members = [m for m in block_layer(params).members if rng.random() < 0.5]
+    return SetFamily.from_masks(params.n, params.k - 1, members)
+
+
+# k = 2 at t = n'/2: the work bound equals its floor, 4t^3/3 + O(t^2), so the
+# guard admits n' = 562 and refuses 563 at the cap of 3e7.
+LARGEST_K2_N_PRIME = 562
+
+
+class TestExactDynamicProgram:
+    def test_equals_enumeration_on_every_small_shape(self):
+        rng = random.Random(2024)
+        shapes = 0
+        for k in (3, 4):
+            for n_prime in range(k - 1, 13):
+                p = Params(n=n_prime + 2, k=k, s=1)
+                for t in range(p.t + 1):
+                    if matching_count(p, t) > 20_000:
+                        continue
+                    g = half_layer(p, rng)
+                    got = exact_eta_distribution(g, p, t)
+                    want = enumerated_eta_dist(g, p, t)
+                    assert got == want and list(got) == list(want), (n_prime, k, t)
+                    shapes += 1
+        assert shapes == 56
+
+    @pytest.mark.parametrize("n_prime", [40, LARGEST_K2_N_PRIME])
+    def test_k2_is_hypergeometric(self, n_prime):
+        # one-element blocks: M is a uniform t-subset of X, so eta is
+        # hypergeometric in |G| (Hoeffding 1963)
+        p = Params(n=n_prime + 2, k=2, s=1)
+        t = p.t
+        rng = random.Random(n_prime)
+        g = half_layer(p, rng)
+        size = len(g)
+        dist = exact_eta_distribution(g, p)
+        want = {
+            eta: Fraction(binomial(size, eta) * binomial(n_prime - size, t - eta),
+                          binomial(n_prime, t))
+            for eta in range(t + 1)
+            if binomial(size, eta) * binomial(n_prime - size, t - eta)
+        }
+        assert dist == want and list(dist) == list(want)
+
+    def test_largest_k2_shape_is_the_guard_edge(self):
+        for n_prime, refused in ((LARGEST_K2_N_PRIME, False), (LARGEST_K2_N_PRIME + 1, True)):
+            t = n_prime // 2
+            assert (exact_work_bound(n_prime, 1, t) > EXACT_WORK_CAP) is refused
+            assert matching_count(Params(n=n_prime + 2, k=2, s=1), t) > ENUMERATION_GUARD
+
+    def test_mean_at_22_3_7(self):
+        p = Params(n=25, k=3, s=2)
+        assert (p.n_prime, p.t) == (22, 7)
+        g = half_layer(p, random.Random(7))
+        dist = exact_eta_distribution(g, p)
+        assert sum(dist.values()) == 1
+        assert distribution_mean(dist) == layer_density(g, p) * 7
+
+    def test_one_matching_on_a_long_tail(self):
+        # t = n' one-element blocks: a single matching, 2000 positions deep
+        p = Params(n=2002, k=2, s=1)
+        g = SetFamily.from_sets(p.n, 1, [(3,), (500,), (2002,)])
+        assert exact_eta_distribution(g, p, t=p.n_prime) == {3: Fraction(1)}
+
+
+class TestExactGuard:
+    def test_refuses_26_4_6_before_work(self):
+        p = Params(n=29, k=4, s=2)
+        with pytest.raises(ShapeError, match="work bound above"):
+            check_exact_work(p, p.t)
+        with pytest.raises(ShapeError, match="work bound above"):
+            exact_eta_distribution(star_blocks(p), p)
+
+    @pytest.mark.parametrize("n, k, s, t", [(10**7, 2, 1, None), (5 * 10**7, 3, 1, None),
+                                            (5 * 10**7, 2, 1, 2), (5 * 10**7, 2, 1, 49_999_996)])
+    def test_huge_shapes_refused_at_once(self, n, k, s, t):
+        p = Params(n=n, k=k, s=s)
+        with pytest.raises(ShapeError, match="more than 10000000 matchings"):
+            check_exact_work(p, p.t if t is None else t)
+
+    def test_never_refuses_what_the_enumerator_answered(self):
+        # at most ENUMERATION_GUARD matchings is always admitted, whatever the bound
+        for p, t in ((Params(n=5 * 10**7, k=2, s=1), 5 * 10**7 - 2),
+                     (Params(n=2002, k=2, s=1), 1999), (Params(n=4474, k=3, s=1), 1)):
+            assert matching_count(p, t) <= ENUMERATION_GUARD
+            check_exact_work(p, t)
+        assert exact_work_bound(5 * 10**7 - 2, 1, 5 * 10**7 - 2) > EXACT_WORK_CAP
+        assert exact_work_bound(2000, 1, 1999) > EXACT_WORK_CAP
+
+    def test_bound_floor_and_cut(self):
+        # k = 2: one state per feasible (h, j), two moves, t-j+1 counts
+        for n_prime, t in ((10, 5), (40, 20), (9, 1), (30, 30), (562, 281)):
+            want = sum(2 * (t - j + 1) * (n_prime - (t - j) + 1) for j in range(t))
+            assert exact_work_bound(n_prime, 1, t) == want <= EXACT_WORK_CAP
+        assert exact_work_bound(22, 2, 7) == 28_351_064
+        # summing stops just past the cap, or at the closed-form floor
+        assert EXACT_WORK_CAP < exact_work_bound(24, 2, 8) < 2 * EXACT_WORK_CAP
+        assert exact_work_bound(1000, 1, 500) > 10**8
+
+    def test_refuses_exactly_by_the_rule(self):
+        for k in (2, 3, 4):
+            for n_prime in range(k - 1, 30):
+                p = Params(n=n_prime + 2, k=k, s=1)
+                for t in range(p.t + 1):
+                    above = matching_count(p, t) > ENUMERATION_GUARD
+                    bound = exact_work_bound(n_prime, k - 1, t)
+                    refused = above and bound > EXACT_WORK_CAP
+                    try:
+                        check_exact_work(p, t)
+                    except ShapeError:
+                        assert refused, (n_prime, k, t)
+                    else:
+                        assert not refused, (n_prime, k, t)
+
+
+class TestBetaTails:
+    def test_star_two_valued(self):
+        # n' = 7, t = 2: eta = 1 iff the first tail element is covered,
+        # 60 of the 105 matchings, so alpha*t = 4/7
+        p = Params(n=9, k=3, s=1)
+        dist = exact_eta_distribution(star_blocks(p), p)
+        assert dist == {0: Fraction(3, 7), 1: Fraction(4, 7)}
+        center = layer_density(star_blocks(p), p) * 2
+        tails = beta_tails({0: 45, 1: 60}, 105, center, 2, (0.1, 0.18, 0.25))
+        assert [bt.tail_count for bt in tails] == [105, 45, 0]
+        assert [bt.tail_freq for bt in tails] == [1, Fraction(3, 7), 0]
+        assert [bt.bound for bt in tails] == [tail_bound(b) for b in (0.1, 0.18, 0.25)]
+        assert tails[1].threshold == 2 * 0.18 * math.sqrt(2)
+
+    def test_monte_carlo_uses_the_same_tails(self):
+        p = Params(n=9, k=2, s=2)
+        g = star_blocks(p)
+        rep = monte_carlo_eta(g, p, trials=300, seed=4, beta_grid=(0.25, 1.0))
+        center = layer_density(g, p) * rep.t
+        assert rep.beta_grid == beta_tails(rep.eta_histogram, 300, center, rep.t, (0.25, 1.0))
 
 
 class TestTailBound:

@@ -107,6 +107,16 @@ class TestParams:
         q = scaled_params(1, 2)
         assert q.n == math.ceil(3 * math.e * 2 * 2)
 
+    def test_scaled_n_is_exact(self):
+        # the double product rounds 3e(s+1)k = ...603.001 down to ...603
+        assert math.ceil(3 * math.e * 642618088873 * 3) == 15721353662603
+        assert scaled_params(642618088872, 3).n == 15721353662604
+        # the audits' s keep the n the double gave
+        for s in (2 * 10**6, 5 * 10**7):
+            for k in range(1, 6):
+                assert scaled_params(s, k).n == math.ceil(3 * math.e * (s + 1) * k)
+        assert str(scaled_params(10**30, 3).n) == "24464536456131407118242587242199"
+
 
 class TestEnumeration:
     def test_colex_small(self):
@@ -265,6 +275,8 @@ class TestFamilyIO:
             ("6 2\n1 2\n3 x 4\n", "line 3: non-integer token in '3 x 4'"),
             ("6 2\n3 1 x\n", "line 2: non-integer token in '3 1 x'"),
             ("6 3\n3 2 1 0\n", "line 2: expected 3 elements, got 4"),
+            ("1000000000000 1\n1\n", "line 1: ground n=1000000000000 exceeds the cap 50000000"),
+            ("# big\n50000001 0\n", "line 2: ground n=50000001 exceeds the cap 50000000"),
         ],
     )
     def test_parse_error_messages_pinned(self, text, message):
@@ -312,6 +324,12 @@ class TestFamilyIO:
              "JSON family: member [1, True] is not a list of integer labels"),
             ("f.json", b'{"n": true, "k": 0, "sets": []}',
              "JSON family: 'n'/'k' must be ints, 'sets' a list"),
+            ("f.json", b'{"n": 1000000000000, "k": 1, "sets": [[1]]}',
+             "JSON family: ground n=1000000000000 exceeds the cap 50000000"),
+            ("f.json", b'{"n": 3, "k": 1, "sets": [[1000000000000]]}',
+             "JSON family: label 1000000000000 outside [1, 3]"),
+            ("f.json", b'{"n": 3, "k": 2, "sets": [[0, 1]]}',
+             "JSON family: label 0 outside [1, 3]"),
         ],
     )
     def test_read_family_malformed(self, tmp_path, name, data, message):
