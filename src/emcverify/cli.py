@@ -50,6 +50,7 @@ from .core import (
 )
 from .densities import (
     check_theorem3_args,
+    condition_pool_size,
     local_lym_sides,
     meets_thresholds,
     random_condition_family,
@@ -357,8 +358,8 @@ def _verify_trials(args, params: Params, statement: str, check, accept=None, **f
         raise UsageError(f"--max-size must be at least 1, got {args.max_size}")
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    cap = condition_pool_size(params, min(binomial(args.n, args.k), args.max_size), accept)
     rng = random.Random(args.seed)
-    cap = min(binomial(args.n, args.k), args.max_size)
     failures = []
     slacks = []
     for trial in range(args.trials):

@@ -13,6 +13,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -110,22 +111,33 @@ class Params:
         return tuple(range(self.s + 2, self.n + 1))
 
 
-def scaled_params(s: int, k: int) -> Params:
-    """Params at n = ceil(3e(s+1)k), exact at any s.
+def e_enclosures() -> Iterator[tuple[Fraction, Fraction]]:
+    """Ever tighter rational brackets lo < e < hi, without end.
 
-    e lies strictly between sum_{i<=N} 1/i! and that sum plus 1/(N!*N).  N
-    doubles until both ends give the same ceiling, which happens because
-    3e(s+1)k is irrational.
+    e lies strictly between sum_{i<=N} 1/i! and that sum plus 1/(N!*N); N
+    starts at 32, where the bracket is below 1e-36 wide and so finer than a
+    double, and doubles.  A caller takes brackets until its comparison with e
+    is decided, which happens because e is irrational.
     """
-    q = 3 * (s + 1) * k
-    terms = 16
+    terms = 32
     while True:
         fact = math.factorial(terms)
         low = sum(fact // math.factorial(i) for i in range(terms + 1))  # fact * sum 1/i!
-        n = -(-q * low // fact)
-        if n == -(-q * (low * terms + 1) // (fact * terms)):
-            return Params(n=n, k=k, s=s)
+        yield Fraction(low, fact), Fraction(low * terms + 1, fact * terms)
         terms *= 2
+
+
+def scaled_params(s: int, k: int) -> Params:
+    """Params at n = ceil(3e(s+1)k), exact at any s.
+
+    The first bracket of e_enclosures whose two ends give the same ceiling
+    decides n.
+    """
+    q = 3 * (s + 1) * k
+    for lo, hi in e_enclosures():
+        n = math.ceil(q * lo)
+        if n == math.ceil(q * hi):
+            return Params(n=n, k=k, s=s)
 
 
 @dataclass(frozen=True)

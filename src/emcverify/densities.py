@@ -20,6 +20,7 @@ from .core import (
     ShapeError,
     binomial,
     elements_from_mask,
+    enumerate_ksets,
     interval_mask,
     mask_from_elements,
     validate_family_tuple,
@@ -270,20 +271,49 @@ def gap_set_prefix_peak(gap_mask: int, n: int) -> Fraction:
     return _prefix_peak(gap_mask, n)[0]
 
 
+# Rejection tries random_condition_family makes before it gives up.
+CONDITION_TRIES = 1_000_000
+
+
+def _condition(params: Params, accept):
+    if accept is not None:
+        return accept
+    s, k = params.s, params.k
+    return lambda mask: ell_condition(mask, s, k)
+
+
+def condition_pool_size(params: Params, cap: int, accept=None, budget: int = CONDITION_TRIES) -> int:
+    """min(cap, number of k-subsets of [n] that pass ``accept``).
+
+    ``accept`` defaults to ell_condition at params.s, as in
+    random_condition_family.  The scan stops once the count reaches cap, and
+    answers cap when ``budget`` k-sets are scanned without deciding.
+    """
+    accept = _condition(params, accept)
+    found = 0
+    for scanned, mask in enumerate(enumerate_ksets(params.n, params.k)):
+        if scanned == budget:
+            return cap
+        if accept(mask):
+            found += 1
+            if found == cap:
+                return cap
+    return found
+
+
 def random_condition_family(
-    params: Params, size: int, rng, max_tries: int = 1_000_000, accept=None
+    params: Params, size: int, rng, max_tries: int = CONDITION_TRIES, accept=None
 ) -> SetFamily:
     """Rejection-sample a k-uniform family whose members all pass ``accept``.
 
     ``accept`` takes a member mask and defaults to ell_condition at params.s.
     Each try draws one rng.sample, so the stream depends only on the number
     of tries.  The condition is dense at the parameter ranges the randomized
-    verifier suites use, so the retry cap is generous.
+    verifier suites use, so the retry cap is generous; condition_pool_size
+    bounds the sizes that can be drawn at all.
     """
-    n, k, s = params.n, params.k, params.s
-    if accept is None:
-        def accept(mask: int) -> bool:
-            return ell_condition(mask, s, k)
+    n, k = params.n, params.k
+    accept = _condition(params, accept)
     chosen: set[int] = set()
     tries = 0
     population = list(range(1, n + 1))

@@ -21,6 +21,7 @@ from .core import (
     SetFamily,
     ShapeError,
     binomial,
+    e_enclosures,
     interval_mask,
     scaled_params,
     validate_family_tuple,
@@ -501,12 +502,12 @@ def audit_inequalities(
 ) -> AuditReport:
     """Re-derive every numeric chain of the argument at scale (n = ceil(3e(s+1)k)).
 
-    Integer and rational steps are exact; gamma (and e) enter as doubles with
-    a documented 1e-9 relative slack.  ``checks`` selects by name; ``ranges``
-    overrides the quantifier ranges of the chains quantified over an integer
-    (keys "j", "m", "r").  Each of those chains is linear, concave or monotone
-    in its variable, so exact checks at the two range endpoints decide every
-    value in the range, at any s.
+    Integer and rational steps are exact; e enters through rational brackets
+    (core.e_enclosures) and gamma as a double.  ``checks`` selects by name;
+    ``ranges`` overrides the quantifier ranges of the chains quantified over
+    an integer (keys "j", "m", "r").  Each of those chains is linear, concave
+    or monotone in its variable, so exact checks at the two range endpoints
+    decide every value in the range, at any s.
     """
     if s < 2:
         raise ShapeError(f"audit_inequalities: need s >= 2, got {s}")
@@ -560,17 +561,25 @@ def audit_inequalities(
             * _generalized_binomial(Fraction(n) - sprime * p + 1, k - p)
             for p in range(1, k + 1)
         ]
-        bound = Fraction(math.e) * k * sprime / n
         ratios = [
             terms[p + 1] / terms[p] for p in range(len(terms) - 1) if terms[p] > 0
         ]
-        ok = all(r <= bound for r in ratios) and bound <= Fraction(1, 4)
         worst = max(ratios) if ratios else Fraction(0)
+        scale = k * sprime / n  # the bound is e * scale
+        # worst <= e*scale is decided by the low end of e's bracket and
+        # e*scale <= 1/4 by the high end; e is irrational, so a tight enough
+        # bracket decides both.
+        quarter = Fraction(1, 4)
+        for lo, hi in e_enclosures():
+            if (worst <= lo * scale or worst > hi * scale) and (
+                hi * scale <= quarter or lo * scale > quarter
+            ):
+                break
         add(
             "gap-ratio",
-            ok,
+            worst <= lo * scale and hi * scale <= quarter,
             float(worst),
-            float(bound),
+            float(lo * scale),
             "consecutive term ratios of the gap-set bound stay below e*k*s'/n <= 1/4; "
             "generalized binomials for rational s'; claimed for s >= 50",
         )

@@ -22,40 +22,111 @@ ENUMERATION_GUARD = 10_000_000
 
 
 def matching_number(family: SetFamily) -> int:
-    """Largest number of pairwise disjoint members, by memoized branch and bound.
+    """Largest number of pairwise disjoint members, by a bounded forward search.
 
-    Branches on the smallest element still coverable: either no chosen member
-    uses it (exclude it) or one of the members through it is chosen.  The memo
-    key is the set of excluded/used elements, which fully determines the
-    subproblem.
+    Disjoint members have distinct minima.  So the members are grouped by
+    their minimum, and the search walks the distinct minima (heads) upward:
+    at each head it chooses one member of that head's group that misses the
+    used elements, or none.  A node is (head, the used elements that some
+    later member still contains), and its exact value is memoized under that
+    key.  The value is at most min(free elements of later members // k,
+    unused heads from here on): members are tried before the skip branch, a
+    node stops once it reaches this cap, and a child whose cap cannot beat
+    the node's best so far is not entered.
+
+    An explicit stack replaces recursion, so deep families are safe.  Set-up
+    is O(|F|) big-integer operations and builds nothing per element of [n];
+    when the top covered element lies past k*|F| + 64, the covered elements
+    are first relabeled 1..c, so no mask is wider than that.
     """
-    if family.k == 0:
+    k = family.k
+    if k == 0:
         return len(family)  # the empty set, if present, meets no member
     members = family.members
-    memo: dict[int, int] = {}
+    if not members:
+        return 0
+    if members[-1].bit_length() > k * len(members) + 64:
+        members = _relabel(members)
+    groups: dict[int, list[int]] = {}
+    for m in members:
+        groups.setdefault(m & -m, []).append(m)
+    heads = sorted(groups)
+    grouped = [groups[h] for h in heads]
+    size = len(heads)
+    head_mask = sum(heads)  # distinct one-bit masks
+    # dying[i]: elements no member past group i contains, dropped from the
+    # used set after head i; live[i]: elements some member of a group >= i has.
+    dying = [0] * size
+    live = [0] * size
+    later = 0
+    for i in range(size - 1, -1, -1):
+        union = 0
+        for m in grouped[i]:
+            union |= m
+        dying[i] = union & ~later
+        later |= union
+        live[i] = later.bit_count()
+    memo: dict[tuple[int, int], int] = {}
+    # frame: [memo key, head index, used, cap, best so far, next child]
+    stack: list[list] = []
 
-    def best_from(used: int) -> int:
-        cached = memo.get(used)
-        if cached is not None:
-            return cached
-        avail = [m for m in members if not m & used]
-        if not avail:
-            memo[used] = 0
+    def enter(i: int, used: int, floor: int) -> int | None:
+        """Value of node (i, used), or a cap <= floor, or None after pushing it."""
+        while i < size and heads[i] & used:  # a used head can open no member
+            used &= ~dying[i]
+            i += 1
+        if i == size:
             return 0
-        free = 0
-        for m in avail:
-            free |= m
-        low = free & -free
-        out = best_from(used | low)
-        for m in avail:
-            if m & low:
-                cand = 1 + best_from(used | m)
-                if cand > out:
-                    out = cand
-        memo[used] = out
-        return out
+        key = (i, used)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        cap = min((live[i] - used.bit_count()) // k, size - i - (used & head_mask).bit_count())
+        if cap <= floor or not cap:
+            return cap
+        stack.append([key, i, used, cap, 0, 0])
+        return None
 
-    return best_from(0)
+    value = enter(0, 0, -1)
+    while stack:
+        frame = stack[-1]
+        key, i, used, cap, best, pos = frame
+        group = grouped[i]
+        if value is not None:  # a child finished; children before the skip add a member
+            value += pos <= len(group)
+            if value > best:
+                frame[4] = best = value
+        if best < cap:
+            while pos < len(group) and group[pos] & used:
+                pos += 1
+            if pos <= len(group):
+                frame[5] = pos + 1
+                if pos < len(group):
+                    value = enter(i + 1, (used | group[pos]) & ~dying[i], best - 1)
+                else:
+                    value = enter(i + 1, used & ~dying[i], best)
+                continue
+        memo[key] = best
+        stack.pop()
+        value = best
+    return value
+
+
+def _relabel(members: tuple[int, ...]) -> list[int]:
+    """The members with their covered elements renamed 1..c in increasing order.
+
+    The renaming is monotone, so minima, disjointness and mask order stay.
+    """
+    split = []
+    for m in members:
+        bits = []
+        while m:
+            low = m & -m
+            bits.append(low.bit_length())
+            m ^= low
+        split.append(bits)
+    rank = {p: 1 << r for r, p in enumerate(sorted({p for bits in split for p in bits}))}
+    return [sum(rank[p] for p in bits) for bits in split]
 
 
 @dataclass(frozen=True)
@@ -214,9 +285,13 @@ def sample_ordered_blocks(params: Params, sizes: list[int] | None = None, seed: 
 def enumerate_matchings(params: Params, t: int | None = None):
     """Yield every unordered t-matching of (k-1)-blocks in X exactly once.
 
-    Canonical recursion on the smallest undecided element of X: either it is
-    left uncovered, or it becomes the minimum of a new block joined by a
-    (k-2)-subset of the remaining elements.  Guarded by the total count.
+    Canonical form: the smallest undecided element of X is either left
+    uncovered or becomes the minimum (head) of a new block joined by a
+    (k-2)-subset of the free elements above it.  The walk goes one block per
+    level, with an explicit stack: each level tries its heads from the
+    highest down, which yields the order of the element-by-element recursion
+    (leave uncovered first), and skips a head with fewer free elements from
+    it on than the blocks still needed.  Guarded by the total count.
     """
     t = params.t if t is None else t
     total = matching_count(params, t)
@@ -225,27 +300,42 @@ def enumerate_matchings(params: Params, t: int | None = None):
             f"enumerate_matchings: {total} matchings exceeds guard {ENUMERATION_GUARD}"
         )
     block = params.k - 1
-    elements = list(params.x_elements())
     n = params.n
+    if t == 0:
+        yield SetFamily.from_masks(n, block, [])
+        return
+    bits = [1 << (e - 1) for e in params.x_elements()]
+    taken = [False] * len(bits)
 
-    def walk(avail: list[int], need: int, acc: list[int]):
-        if need == 0:
-            yield SetFamily.from_masks(n, block, acc)
-            return
-        if len(avail) < need * block:
-            return
-        head, rest = avail[0], avail[1:]
-        # head left uncovered — only viable if enough elements remain
-        if len(rest) >= need * block:
-            yield from walk(rest, need, acc)
-        # head opens a block
-        for combo in itertools.combinations(rest, block - 1):
-            acc_mask = 1 << (head - 1)
-            for e in combo:
-                acc_mask |= 1 << (e - 1)
-            taken = set(combo)
-            acc.append(acc_mask)
-            yield from walk([e for e in rest if e not in taken], need - 1, acc)
-            acc.pop()
+    def options(low: int, need: int):
+        """(head, partners) choices for the next block, heads at positions >= low."""
+        free_above = 0  # free positions above h
+        for h in range(len(bits) - 1, low - 1, -1):
+            if taken[h]:
+                continue
+            if free_above + 1 >= need * block:
+                rest = [p for p in range(h + 1, len(bits)) if not taken[p]] if block > 1 else []
+                yield from ((h, combo) for combo in itertools.combinations(rest, block - 1))
+            free_above += 1
 
-    yield from walk(elements, t, [])
+    stack = [options(0, t)]
+    chosen: list[tuple[int, tuple[int, ...]]] = []  # (block mask, its positions) per level
+    while stack:
+        if len(chosen) == len(stack):  # undo this level's previous block
+            for p in chosen.pop()[1]:
+                taken[p] = False
+        pick = next(stack[-1], None)
+        if pick is None:
+            stack.pop()
+            continue
+        head, partners = pick
+        positions = (head, *partners)
+        mask = 0
+        for p in positions:
+            taken[p] = True
+            mask |= bits[p]
+        chosen.append((mask, positions))
+        if len(chosen) == t:
+            yield SetFamily.from_masks(n, block, [m for m, _ in chosen])
+        else:
+            stack.append(options(head + 1, t - len(chosen)))

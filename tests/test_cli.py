@@ -139,6 +139,14 @@ class TestShiftShadowNu:
         assert code == 0
         assert rep["nu"] == 2
 
+    def test_nu_deep_family(self, capsys, tmp_path):
+        # 1,200 disjoint singletons: one search level per member, no recursion
+        src = tmp_path / "deep.txt"
+        src.write_text("1200 1\n" + "".join(f"{e}\n" for e in range(1, 1201)))
+        code, rep = run_json(capsys, ["nu", "--in", str(src)])
+        assert code == 0
+        assert rep["nu"] == 1200
+
 
 class TestRainbow:
     def test_complete_tuple_exit_zero(self, capsys, tmp_path):
@@ -314,6 +322,15 @@ class TestVerifyStatements:
         assert code == 0
         assert rep["all_ok"] and rep["failures"] == []
         assert rep["min_slack"] >= 0
+
+    def test_lemma4_sparse_condition_caps_size(self, capsys):
+        # only {1}, ..., {5} meet the ell-condition at s = 1, so no draw may ask for 6
+        start = time.perf_counter()
+        code, rep = run_json(capsys, ["verify", "lemma4", "--n", "10", "--k", "1",
+                                      "--s", "1", "--trials", "3"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert rep["all_ok"] and rep["trials"] == 3
 
     def test_theorem3_report(self, capsys):
         code, rep = run_json(capsys, ["verify", "theorem3", "--n", "11", "--k", "2",

@@ -1,5 +1,8 @@
+import decimal
 import json
 import math
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from emcverify.core import (
     family_to_text,
     interval_mask,
     lex_initial_family,
+    e_enclosures,
     mask_from_elements,
     parse_family_text,
     read_family,
@@ -116,6 +120,16 @@ class TestParams:
             for k in range(1, 6):
                 assert scaled_params(s, k).n == math.ceil(3 * math.e * (s + 1) * k)
         assert str(scaled_params(10**30, 3).n) == "24464536456131407118242587242199"
+
+    def test_e_enclosures_tighten_around_e(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 300
+            e = Fraction(decimal.Decimal(1).exp())  # within 1e-299 of e
+        width = 1
+        for lo, hi in islice(e_enclosures(), 3):  # widths about 1e-37, 1e-91, 1e-217
+            assert lo < e < hi
+            assert hi - lo < width * Fraction(1, 10**36)
+            width = hi - lo
 
 
 class TestEnumeration:

@@ -18,10 +18,12 @@ from emcverify.densities import (
     alpha_profile,
     beta_parameter,
     check_sum_beta,
+    condition_pool_size,
     decompose,
     ell_condition,
     gap_set_prefix_peak,
     local_lym_ratio,
+    meets_thresholds,
     random_condition_family,
     slice_family,
     slice_partition,
@@ -355,3 +357,31 @@ class TestRandomConditionFamily:
         p = Params(n=5, k=2, s=1)
         with pytest.raises(ShapeError):
             random_condition_family(p, binomial(5, 2) + 1, random.Random(0), max_tries=500)
+
+
+class TestConditionPoolSize:
+    def test_counts_qualifying_ksets(self):
+        for n, k, s in ((10, 1, 1), (9, 2, 1), (12, 3, 2), (8, 2, 3)):
+            p = Params(n=n, k=k, s=s)
+            pool = sum(1 for m in enumerate_ksets(n, k) if ell_condition(m, s, k))
+            assert condition_pool_size(p, binomial(n, k)) == pool
+            assert condition_pool_size(p, 1) == 1
+        # (10, 1, 1): only {1}, ..., {5} meet the condition
+        assert condition_pool_size(Params(n=10, k=1, s=1), 60) == 5
+
+    def test_custom_predicate(self):
+        p = Params(n=9, k=2, s=1)
+        accept = lambda m: meets_thresholds(m, 2, (3,))
+        assert condition_pool_size(p, 100, accept) == 3  # the 2-subsets of [3]
+
+    def test_budget_answers_the_cap(self):
+        # the budget runs out before the scan decides: the cap stands
+        p = Params(n=30, k=3, s=1)
+        assert condition_pool_size(p, 10**6, lambda m: m == 7, budget=50) == 10**6
+        assert condition_pool_size(p, 10**6, lambda m: m == 7) == 1
+
+    def test_capped_size_is_drawable(self):
+        p = Params(n=10, k=1, s=1)
+        size = condition_pool_size(p, 10)
+        f = random_condition_family(p, size, random.Random(3))
+        assert len(f) == size == 5

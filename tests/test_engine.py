@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from emcverify import engine
-from emcverify.core import Params, SetFamily, ShapeError, enumerate_ksets
+from emcverify.core import Params, SetFamily, ShapeError, enumerate_ksets, scaled_params
 from emcverify.engine import (
     CHECK_NAMES,
     ThresholdConfig,
@@ -340,6 +341,32 @@ class TestAudit:
             for k in (2, 3):
                 rep = audit_inequalities(s, k, checks=["gap-ratio", "gap-tail"])
                 assert rep.all_passed, rep.failing()
+
+    def test_gap_ratio_bound_is_certified(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            e = Fraction(decimal.Decimal(1).exp())
+        for s in (2 * 10**6, 5 * 10**7):
+            for k in range(1, 6):
+                (check,) = audit_inequalities(s, k, checks=["gap-ratio"]).checks
+                assert check.passed
+                scale = Fraction(k * 3 * (s + 1), 4 * scaled_params(s, k).n)
+                assert float(check.rhs) == float(e * scale)
+        # the double nearest e gave the last digit one lower here
+        scale = Fraction(2 * 3 * (2 * 10**6 + 1), 4 * scaled_params(2 * 10**6, 2).n)
+        assert float(Fraction(math.e) * scale) < float(e * scale)
+
+    def test_gap_ratio_refines_an_undecided_bracket(self, monkeypatch):
+        real = engine.e_enclosures
+
+        def wide_first():
+            yield Fraction(2), Fraction(3)  # e * k*s'/n <= 1/4 is open on [2, 3]
+            yield from real()
+
+        want = [audit_inequalities(s, 2, checks=["gap-ratio"]).checks for s in (10, 60, 2 * 10**6)]
+        monkeypatch.setattr(engine, "e_enclosures", wide_first)
+        got = [audit_inequalities(s, 2, checks=["gap-ratio"]).checks for s in (10, 60, 2 * 10**6)]
+        assert got == want
 
     def test_full_audit_at_scale(self):
         for k in (2, 3):

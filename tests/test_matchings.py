@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from conftest import (
     brute_rainbow,
     random_family,
 )
+from emcverify.constructions import build_extremal
 from emcverify.core import (
     Params,
     SetFamily,
@@ -18,6 +21,7 @@ from emcverify.core import (
     binomial,
     enumerate_ksets,
     mask_from_elements,
+    parse_family_text,
 )
 from emcverify.matchings import (
     enumerate_matchings,
@@ -55,6 +59,50 @@ class TestMatchingNumber:
         for n in (0, 3):
             empty_layer = SetFamily.from_masks(n, 0, [0])
             assert matching_number(empty_layer) == brute_matching_number(empty_layer) == 1
+
+    def test_search_against_brute_force(self):
+        # 1,200 seeded families, n <= 12 and k from 1 to 4, with the edge shapes
+        rng = random.Random(2024)
+        families = [SetFamily(0, 0, (0,)), SetFamily(5, 0, (0,)), SetFamily(0, 1, ())]
+        for n in range(1, 13):
+            families += [SetFamily(n, n, ((1 << n) - 1,)), SetFamily(n, min(n, 3), ())]
+        while len(families) < 1200:
+            n = rng.randint(1, 12)
+            k = rng.randint(1, min(4, n))
+            size = rng.randint(0, min(binomial(n, k), 6 if k == 1 else 24))
+            families.append(random_family(rng, n, k, size))
+        for f in families:
+            assert matching_number(f) == brute_matching_number(f), f
+
+    @pytest.mark.parametrize("n, k, s", [(40, 3, 3), (60, 4, 5), (30, 5, 4)])
+    def test_extremal_families_have_nu_s(self, n, k, s):
+        for kind in "AB":
+            f = build_extremal(Params(n=n, k=k, s=s), kind)
+            start = time.perf_counter()
+            assert matching_number(f) == s
+            assert time.perf_counter() - start < 1.0
+
+    def test_deep_family_needs_no_recursion(self):
+        pairs = SetFamily.from_sets(2400, 2, [(2 * i - 1, 2 * i) for i in range(1, 1201)])
+        assert matching_number(pairs) == 1200
+        singles = SetFamily.from_sets(1200, 1, [(e,) for e in range(1, 1201)])
+        assert matching_number(singles) == 1200
+
+    def test_wide_ground_answers_at_once(self):
+        start = time.perf_counter()
+        f = parse_family_text("50000000 2\n2 3\n1 50000000\n")
+        assert matching_number(f) == 2
+        assert time.perf_counter() - start < 1.0
+
+    def test_spread_labels_keep_nu(self):
+        # members spread over a wide ground take the relabeled path
+        rng = random.Random(79)
+        for _ in range(100):
+            f = random_family(rng, 9, rng.randint(1, 3), rng.randint(0, 15))
+            labels = sorted(rng.sample(range(1, 5000), 9))
+            spread = SetFamily.from_sets(
+                5000, f.k, [tuple(labels[e - 1] for e in m) for m in f.as_sets()])
+            assert matching_number(spread) == matching_number(f) == brute_matching_number(f)
 
     def test_monotone_under_union(self):
         rng = random.Random(71)
@@ -225,6 +273,18 @@ class TestEnumerateMatchings:
     def test_guard(self):
         with pytest.raises(ShapeError):
             list(enumerate_matchings(Params(n=40, k=2, s=0), t=19))
+
+    def test_long_ground_needs_no_recursion(self):
+        # n' = 2000: one block per level, so the length of X sets no depth
+        p = Params(n=2002, k=2, s=1)
+        assert sum(1 for _ in enumerate_matchings(p, 1)) == matching_count(p, 1) == 2000
+        wide = Params(n=2002, k=3, s=1)
+        first = [m.as_sets() for m in itertools.islice(enumerate_matchings(wide, 1), 2)]
+        assert first == [[(2001, 2002)], [(2000, 2001)]]
+
+    def test_empty_matching(self):
+        p = Params(n=8, k=3, s=1)
+        assert [m.members for m in enumerate_matchings(p, 0)] == [()]
 
 
 class TestSampleMatching:
