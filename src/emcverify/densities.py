@@ -282,17 +282,17 @@ def _condition(params: Params, accept):
     return lambda mask: ell_condition(mask, s, k)
 
 
-def condition_pool_size(params: Params, cap: int, accept=None, budget: int = CONDITION_TRIES) -> int:
+def condition_pool_size(params: Params, cap: int, accept=None) -> int:
     """min(cap, number of k-subsets of [n] that pass ``accept``).
 
     ``accept`` defaults to ell_condition at params.s, as in
     random_condition_family.  The scan stops once the count reaches cap, and
-    answers cap when ``budget`` k-sets are scanned without deciding.
+    answers cap when CONDITION_TRIES k-sets are scanned without deciding.
     """
     accept = _condition(params, accept)
     found = 0
     for scanned, mask in enumerate(enumerate_ksets(params.n, params.k)):
-        if scanned == budget:
+        if scanned == CONDITION_TRIES:
             return cap
         if accept(mask):
             found += 1

@@ -30,14 +30,11 @@ def matching_number(family: SetFamily) -> int:
     used elements, or none.  A node is (head, the used elements that some
     later member still contains), and its exact value is memoized under that
     key.  The value is at most min(free elements of later members // k,
-    unused heads from here on): members are tried before the skip branch, a
-    node stops once it reaches this cap, and a child whose cap cannot beat
-    the node's best so far is not entered.
+    unused heads from here on): members are tried before the skip branch,
+    and a node stops once it reaches this cap.
 
     An explicit stack replaces recursion, so deep families are safe.  Set-up
-    is O(|F|) big-integer operations and builds nothing per element of [n];
-    when the top covered element lies past k*|F| + 64, the covered elements
-    are first relabeled 1..c, so no mask is wider than that.
+    is O(|F|) big-integer operations and builds nothing per element of [n].
     """
     k = family.k
     if k == 0:
@@ -45,8 +42,6 @@ def matching_number(family: SetFamily) -> int:
     members = family.members
     if not members:
         return 0
-    if members[-1].bit_length() > k * len(members) + 64:
-        members = _relabel(members)
     groups: dict[int, list[int]] = {}
     for m in members:
         groups.setdefault(m & -m, []).append(m)
@@ -70,8 +65,8 @@ def matching_number(family: SetFamily) -> int:
     # frame: [memo key, head index, used, cap, best so far, next child]
     stack: list[list] = []
 
-    def enter(i: int, used: int, floor: int) -> int | None:
-        """Value of node (i, used), or a cap <= floor, or None after pushing it."""
+    def enter(i: int, used: int) -> int | None:
+        """Value of node (i, used), or None after pushing its frame."""
         while i < size and heads[i] & used:  # a used head can open no member
             used &= ~dying[i]
             i += 1
@@ -82,12 +77,12 @@ def matching_number(family: SetFamily) -> int:
         if got is not None:
             return got
         cap = min((live[i] - used.bit_count()) // k, size - i - (used & head_mask).bit_count())
-        if cap <= floor or not cap:
-            return cap
+        if not cap:
+            return 0
         stack.append([key, i, used, cap, 0, 0])
         return None
 
-    value = enter(0, 0, -1)
+    value = enter(0, 0)
     while stack:
         frame = stack[-1]
         key, i, used, cap, best, pos = frame
@@ -102,31 +97,14 @@ def matching_number(family: SetFamily) -> int:
             if pos <= len(group):
                 frame[5] = pos + 1
                 if pos < len(group):
-                    value = enter(i + 1, (used | group[pos]) & ~dying[i], best - 1)
+                    value = enter(i + 1, (used | group[pos]) & ~dying[i])
                 else:
-                    value = enter(i + 1, used & ~dying[i], best)
+                    value = enter(i + 1, used & ~dying[i])
                 continue
         memo[key] = best
         stack.pop()
         value = best
     return value
-
-
-def _relabel(members: tuple[int, ...]) -> list[int]:
-    """The members with their covered elements renamed 1..c in increasing order.
-
-    The renaming is monotone, so minima, disjointness and mask order stay.
-    """
-    split = []
-    for m in members:
-        bits = []
-        while m:
-            low = m & -m
-            bits.append(low.bit_length())
-            m ^= low
-        split.append(bits)
-    rank = {p: 1 << r for r, p in enumerate(sorted({p for bits in split for p in bits}))}
-    return [sum(rank[p] for p in bits) for bits in split]
 
 
 @dataclass(frozen=True)

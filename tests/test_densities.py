@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_family
+from emcverify import densities
 from emcverify.constructions import build_extremal, build_gap_set
 from emcverify.core import (
     Params,
@@ -374,11 +375,12 @@ class TestConditionPoolSize:
         accept = lambda m: meets_thresholds(m, 2, (3,))
         assert condition_pool_size(p, 100, accept) == 3  # the 2-subsets of [3]
 
-    def test_budget_answers_the_cap(self):
-        # the budget runs out before the scan decides: the cap stands
+    def test_budget_answers_the_cap(self, monkeypatch):
+        # the try budget runs out before the scan decides: the cap stands
         p = Params(n=30, k=3, s=1)
-        assert condition_pool_size(p, 10**6, lambda m: m == 7, budget=50) == 10**6
         assert condition_pool_size(p, 10**6, lambda m: m == 7) == 1
+        monkeypatch.setattr(densities, "CONDITION_TRIES", 50)
+        assert condition_pool_size(p, 10**6, lambda m: m == 7) == 10**6
 
     def test_capped_size_is_drawable(self):
         p = Params(n=10, k=1, s=1)
