@@ -51,15 +51,19 @@ def mask_from_elements(elements: Iterable[int]) -> int:
     return m
 
 
-def elements_from_mask(mask: int) -> tuple[int, ...]:
+def mask_bits(mask: int) -> list[int]:
+    """The set bits of ``mask`` as one-bit ints, lowest first."""
     out = []
-    e = 1
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def elements_from_mask(mask: int) -> tuple[int, ...]:
+    """The labels of ``mask`` in increasing order; one step per set bit."""
+    return tuple(b.bit_length() for b in mask_bits(mask))
 
 
 def interval_mask(lo: int, hi: int) -> int:
@@ -151,12 +155,12 @@ class SetFamily:
     def __post_init__(self):
         if self.k < 0 or self.n < 0:
             raise ShapeError(f"bad family shape n={self.n} k={self.k}")
-        full = (1 << self.n) - 1
         prev = -1
         for m in self.members:
+            # a negative mask fails here; its bit_length passes the ground check
             if m <= prev:
                 raise ShapeError("family members must be strictly increasing masks")
-            if m & ~full:
+            if m.bit_length() > self.n:
                 raise ShapeError(f"member {elements_from_mask(m)} exceeds ground [,{self.n}]")
             if m.bit_count() != self.k:
                 raise ShapeError(

@@ -18,11 +18,23 @@ from .core import (
     ShapeError,
     binomial,
     enumerate_ksets,
+    mask_bits,
 )
 
 # Shifted-family enumeration walks every down-set of the layer; the layer
 # size itself is the guard, not the count of down-sets.
 SHIFTED_ENUMERATION_GUARD = 36
+
+
+def _compress(present: set[int], bi: int, bj: int) -> int:
+    # The (i, j)-compression in place on a set of member masks (bits bi < bj),
+    # each move decided against the set as it stood before the pass; returns
+    # the number of members moved.
+    flip = bi | bj
+    moves = [m for m in present if m & flip == bj and m ^ flip not in present]
+    present.difference_update(moves)
+    present.update(m ^ flip for m in moves)
+    return len(moves)
 
 
 def shift_ij(family: SetFamily, i: int, j: int) -> SetFamily:
@@ -34,17 +46,9 @@ def shift_ij(family: SetFamily, i: int, j: int) -> SetFamily:
     """
     if not (1 <= i < j <= family.n):
         raise ShapeError(f"shift_ij: need 1 <= i < j <= n, got i={i}, j={j}, n={family.n}")
-    bi = 1 << (i - 1)
-    bj = 1 << (j - 1)
     present = set(family.members)
-    out = []
-    for m in family.members:
-        if (m & bj) and not (m & bi):
-            moved = (m ^ bj) | bi
-            out.append(m if moved in present else moved)
-        else:
-            out.append(m)
-    return SetFamily.from_masks(family.n, family.k, out)
+    _compress(present, 1 << (i - 1), 1 << (j - 1))
+    return SetFamily.from_masks(family.n, family.k, present)
 
 
 @dataclass(frozen=True)
@@ -61,60 +65,33 @@ def shift_closure(family: SetFamily) -> ShiftReport:
 
     A round sweeps every pair 1 <= i < j <= n once.  The loop ends after the
     first round that changes nothing, so an already-shifted family reports
-    ``applied == 0`` and ``rounds == 1``.
+    ``applied == 0`` and ``rounds == 1``.  The rounds work in place on one
+    set of member masks; the result family is built once, at the end.
     """
-    current = family
-    rounds = 0
-    applied = 0
-    pairs = [(i, j) for i in range(1, family.n + 1) for j in range(i + 1, family.n + 1)]
+    present = set(family.members)
+    # moves only lower elements, so a pair (i, j) with j above the largest
+    # member's top element never moves anything
+    top = max(family.members, default=0).bit_length()
+    pairs = list(combinations([1 << e for e in range(top)], 2))
+    rounds = applied = 0
     while True:
         rounds += 1
-        changed_this_round = 0
-        for i, j in pairs:
-            nxt = shift_ij(current, i, j)
-            if nxt.members != current.members:
-                changed_this_round += len(set(current.members) - set(nxt.members))
-                current = nxt
-        applied += changed_this_round
-        if changed_this_round == 0:
-            break
-    return ShiftReport(rounds=rounds, applied=applied, result=current)
+        moved = sum(_compress(present, bi, bj) for bi, bj in pairs)
+        applied += moved
+        if moved == 0:
+            result = SetFamily.from_masks(family.n, family.k, present)
+            return ShiftReport(rounds=rounds, applied=applied, result=result)
 
 
 def is_shifted(family: SetFamily) -> bool:
     """True iff the family is fixed by every (i, j)-compression.
 
-    Equivalent formulation used here: for every member A, every way of
-    lowering one element of A to a smaller absent element must stay inside
-    the family.
+    That is, the family is a down-set of its layer under dominance order:
+    every cover predecessor of every member (one element lowered by one
+    position into a free slot) is a member too.
     """
     present = set(family.members)
-    for m in family.members:
-        elems = []
-        mm = m
-        while mm:
-            low = mm & -mm
-            elems.append(low.bit_length())
-            mm ^= low
-        for e in elems:
-            be = 1 << (e - 1)
-            for e2 in range(1, e):
-                be2 = 1 << (e2 - 1)
-                if m & be2:
-                    continue
-                if ((m ^ be) | be2) not in present:
-                    return False
-    return True
-
-
-def _bits(mask: int) -> list[int]:
-    # The set bits of ``mask`` as one-bit ints, lowest first.
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low)
-        mask ^= low
-    return out
+    return all(p in present for m in family.members for p in _cover_predecessors(m))
 
 
 def _drop_one(masks) -> set[int]:
@@ -154,7 +131,7 @@ def lower_shadow(family: SetFamily, b: int) -> SetFamily:
         for _ in range(b):
             cur = _drop_one(cur)
     else:
-        cur = {sum(c) for m in family.members for c in combinations(_bits(m), t)}
+        cur = {sum(c) for m in family.members for c in combinations(mask_bits(m), t)}
     return SetFamily.from_masks(family.n, t, cur)
 
 
@@ -185,7 +162,7 @@ def upper_shadow(family: SetFamily, u: int) -> SetFamily:
     else:
         full = (1 << family.n) - 1
         cur = {
-            m | sum(c) for m in family.members for c in combinations(_bits(full ^ m), grow)
+            m | sum(c) for m in family.members for c in combinations(mask_bits(full ^ m), grow)
         }
     return SetFamily.from_masks(family.n, u, cur)
 
@@ -291,24 +268,10 @@ def _cover_predecessors(mask: int) -> list[int]:
     # Immediate predecessors in dominance order: lower one element by one
     # position where the slot below is free.  A k-set is in a down-set iff
     # all of these are.
-    preds = []
-    elems = []
-    mm = mask
-    while mm:
-        low = mm & -mm
-        elems.append(low.bit_length())
-        mm ^= low
-    for e in elems:
-        if e == 1:
-            continue
-        below = 1 << (e - 2)
-        if mask & below:
-            continue
-        preds.append((mask ^ (1 << (e - 1))) | below)
-    return preds
+    return [mask ^ b ^ (b >> 1) for b in mask_bits(mask) if b > 1 and not mask & (b >> 1)]
 
 
-def enumerate_shifted_families(n: int, k: int, max_layer: int = SHIFTED_ENUMERATION_GUARD):
+def enumerate_shifted_families(n: int, k: int):
     """Yield every shifted k-uniform family on [n], the empty family first.
 
     Shifted families are exactly the down-sets of the layer under dominance
@@ -317,9 +280,10 @@ def enumerate_shifted_families(n: int, k: int, max_layer: int = SHIFTED_ENUMERAT
     together with everything above it.  Deterministic order, no duplicates.
     """
     layer_size = binomial(n, k)
-    if layer_size > max_layer:
+    if layer_size > SHIFTED_ENUMERATION_GUARD:
         raise ShapeError(
-            f"enumerate_shifted_families: C({n},{k}) = {layer_size} exceeds guard {max_layer}"
+            f"enumerate_shifted_families: C({n},{k}) = {layer_size} exceeds guard "
+            f"{SHIFTED_ENUMERATION_GUARD}"
         )
     order = list(enumerate_ksets(n, k, order="colex"))
     index_of = {m: i for i, m in enumerate(order)}

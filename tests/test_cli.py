@@ -544,6 +544,9 @@ _FUZZ_COMMANDS = {
     "sample-matching": (["sample-matching"], ["--n", "--k", "--s"], ["--t"]),
     "audit": (["audit"], ["--s", "--k"], ["--factor", "--floor-s"]),
     "procedure": (["procedure", "--tuple", "{d}", "--matching", "{m}", "--config", "{c}"], [], []),
+    "shift": (["shift", "--in", "{f}"], [], []),
+    "rainbow": (["rainbow", "--in", "{f}", "{f}"], [], []),
+    "construct-A": (["construct", "--kind", "A"], ["--n", "--k", "--s"], []),
 }
 
 

@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -76,6 +77,12 @@ class TestMasks:
         assert interval_mask(3, 5) == 0b11100
         assert interval_mask(4, 3) == 0
         assert elements_from_mask(interval_mask(2, 6)) == (2, 3, 4, 5, 6)
+
+    def test_one_step_per_set_bit(self):
+        # a walk over every position up to the top label is quadratic in it
+        started = time.perf_counter()
+        assert elements_from_mask(1 << 299_999) == (300_000,)
+        assert time.perf_counter() - started < 0.5
 
     @given(st.sets(st.integers(min_value=1, max_value=200)))
     def test_round_trip_property(self, elems):
@@ -216,6 +223,8 @@ class TestSetFamily:
             SetFamily.from_sets(4, 2, [(3, 5)])
         with pytest.raises(ShapeError):
             SetFamily(n=4, k=2, members=(3, 3))
+        with pytest.raises(ShapeError):  # -3 has two bits and bit_length 2
+            SetFamily(n=4, k=2, members=(-3,))
 
     def test_tuple_validation(self):
         a = SetFamily.from_sets(4, 2, [(1, 2)])
@@ -243,6 +252,14 @@ class TestFamilyIO:
         fam = parse_family_text(FAMILY_TEXT)
         assert (fam.n, fam.k) == (6, 2)
         assert fam.as_sets() == [(1, 2), (3, 6)]
+
+    def test_wide_ground_costs_nothing_per_member(self):
+        # the ground check reads each member's bit_length, not an n-bit mask
+        lines = [f"{2 * i + 1} {2 * i + 2}" for i in range(200)]
+        started = time.perf_counter()
+        fam = parse_family_text("50000000 2\n" + "\n".join(lines) + "\n")
+        assert time.perf_counter() - started < 1.0
+        assert (fam.n, len(fam), fam.as_sets()[-1]) == (50_000_000, 200, (399, 400))
 
     @pytest.mark.parametrize(
         "text, fragment",

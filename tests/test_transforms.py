@@ -79,9 +79,39 @@ class TestShiftClosure:
         assert rep.applied == 0
         assert rep.rounds == 1
 
+    def test_wide_ground_sweeps_only_below_top_element(self):
+        started = time.perf_counter()
+        rep = shift_closure(fam(10**6, 2, (4, 5), (2, 6)))
+        assert time.perf_counter() - started < 1.0
+        assert rep.result == fam(10**6, 2, (1, 2), (1, 3))
+
     def test_full_layer_fixed(self):
         f = SetFamily.from_masks(4, 2, enumerate_ksets(4, 2))
         assert shift_closure(f).result == f
+
+    def test_equals_loop_of_shift_ij(self):
+        # reference: rebuild the family with shift_ij for every pair, in
+        # lexicographic order, until a round moves nothing
+        rng = random.Random(23)
+        for trial in range(300):
+            n = rng.randint(1, 8)
+            k = (0, n)[trial % 2] if trial % 10 < 2 else rng.randint(1, n)
+            size = 0 if trial % 10 == 2 else rng.randint(0, min(binomial(n, k), 40))
+            f = random_family(rng, n, k, size)
+            current, rounds, applied = f, 0, 0
+            while True:
+                rounds += 1
+                moved = 0
+                for i in range(1, n):
+                    for j in range(i + 1, n + 1):
+                        nxt = shift_ij(current, i, j)
+                        moved += len(set(current.members) - set(nxt.members))
+                        current = nxt
+                applied += moved
+                if moved == 0:
+                    break
+            rep = shift_closure(f)
+            assert (rep.rounds, rep.applied, rep.result) == (rounds, applied, current)
 
     def test_result_is_shifted_and_same_size(self):
         rng = random.Random(3)
@@ -106,8 +136,8 @@ class TestIsShifted:
     def test_agrees_with_fixpoint_definition(self):
         rng = random.Random(19)
         for _ in range(200):
-            n = rng.randint(2, 6)
-            k = rng.randint(1, n)
+            n = rng.randint(2, 8)
+            k = rng.randint(0, n)
             f = random_family(rng, n, k, rng.randint(0, binomial(n, k)))
             fixed = all(
                 shift_ij(f, i, j) == f
