@@ -41,7 +41,6 @@ from .core import (
     FamilyFormatError,
     Params,
     ShapeError,
-    binomial,
     elements_from_mask,
     family_to_json,
     read_family,
@@ -50,9 +49,9 @@ from .core import (
 )
 from .densities import (
     check_theorem3_args,
-    condition_pool_size,
+    condition_count,
+    default_thresholds,
     local_lym_sides,
-    meets_thresholds,
     random_condition_family,
     theorem3_slack,
     verify_lemma4,
@@ -348,8 +347,8 @@ def cmd_audit(args):
 # --- verify family ----------------------------------------------------------
 
 
-def _verify_trials(args, params: Params, statement: str, check, accept=None, **fields):
-    """Run ``check`` on ``args.trials`` seeded families drawn under ``accept``.
+def _verify_trials(args, params: Params, statement: str, check, **condition):
+    """Run ``check`` on ``args.trials`` families drawn under ``condition``, which the report records.
 
     ``check(fam)`` returns the exact slack and, for a false verdict, the
     fields that describe the failure (None otherwise).
@@ -358,13 +357,13 @@ def _verify_trials(args, params: Params, statement: str, check, accept=None, **f
         raise UsageError(f"--max-size must be at least 1, got {args.max_size}")
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    cap = condition_pool_size(params, min(binomial(args.n, args.k), args.max_size), accept)
+    cap = min(args.max_size, condition_count(params, **condition))
     rng = random.Random(args.seed)
     failures = []
     slacks = []
     for trial in range(args.trials):
         size = rng.randint(1, cap)
-        fam = random_condition_family(params, size, rng, accept=accept)
+        fam = random_condition_family(params, size, rng, **condition)
         slack, failure = check(fam)
         slacks.append(slack)
         if failure is not None:
@@ -374,7 +373,7 @@ def _verify_trials(args, params: Params, statement: str, check, accept=None, **f
         "n": args.n,
         "k": args.k,
         "s": args.s,
-        **fields,
+        **condition,
         "trials": args.trials,
         "seed": args.seed,
         "failures": failures,
@@ -400,18 +399,14 @@ def cmd_verify_theorem3(args):
     if args.thresholds:
         thresholds = _number_list(args.thresholds, int, "--thresholds")
     else:
-        thresholds = tuple(3 * (args.s + 1) * i - 1 for i in range(b, args.k + 1))
+        thresholds = default_thresholds(args.s, args.k, b)
     check_theorem3_args(args.k, b, thresholds)
 
     def check(fam):
         beta, slack = theorem3_slack(fam, b, thresholds)
         return slack, None if slack >= 0 else {"beta": str(beta)}
 
-    return _verify_trials(
-        args, params, "depth-b shadow bound", check,
-        accept=lambda mask: meets_thresholds(mask, b, thresholds),
-        b=b, thresholds=list(thresholds),
-    )
+    return _verify_trials(args, params, "depth-b shadow bound", check, b=b, thresholds=thresholds)
 
 
 def cmd_verify_emc(args):
@@ -506,10 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family-out", "--emit", dest="family_out", default=None,
                    help="also write the family file here")
 
-    p = add(sub, "shift", cmd_shift, family_in, family_out,
-            help="compress a family to its shifted fixpoint")
-    p.add_argument("--closure", action="store_true",
-                   help="iterate to the fixpoint (the default and only mode)")
+    add(sub, "shift", cmd_shift, family_in, family_out,
+        help="compress a family to its shifted fixpoint")
 
     p = add(sub, "shadow", cmd_shadow, family_in, family_out,
             help="shadow sizes against the extremal floor")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     FamilyTuple,
@@ -20,7 +21,6 @@ from .core import (
     ShapeError,
     binomial,
     elements_from_mask,
-    enumerate_ksets,
     interval_mask,
     mask_from_elements,
     validate_family_tuple,
@@ -164,14 +164,18 @@ def meets_thresholds(mask: int, b: int, thresholds) -> bool:
     )
 
 
+def default_thresholds(s: int, k: int, b: int = 1) -> tuple[int, ...]:
+    """The weighted-shadow cut-offs alpha_i = 3(s+1)i - 1 for i in [b, k]."""
+    return tuple(3 * (s + 1) * i - 1 for i in range(b, k + 1))
+
+
 def ell_condition(member_mask: int, s: int, k: int | None = None) -> bool:
     """True iff some ell in [1, k] has |A ∩ [3(s+1)ell - 1]| >= ell.
 
     Only ell <= |A| can ever satisfy the inequality, so the scan stops there.
     """
     size = member_mask.bit_count() if k is None else k
-    cutoffs = (3 * (s + 1) * ell - 1 for ell in range(1, size + 1))
-    return meets_thresholds(member_mask, 1, cutoffs)
+    return meets_thresholds(member_mask, 1, default_thresholds(s, size))
 
 
 def verify_lemma4(family: SetFamily, s: int) -> tuple[int, int, bool]:
@@ -271,62 +275,72 @@ def gap_set_prefix_peak(gap_mask: int, n: int) -> Fraction:
     return _prefix_peak(gap_mask, n)[0]
 
 
-# Rejection tries random_condition_family makes before it gives up.
-CONDITION_TRIES = 1_000_000
-
-
-def _condition(params: Params, accept):
-    if accept is not None:
-        return accept
-    s, k = params.s, params.k
-    return lambda mask: ell_condition(mask, s, k)
-
-
-def condition_pool_size(params: Params, cap: int, accept=None) -> int:
-    """min(cap, number of k-subsets of [n] that pass ``accept``).
-
-    ``accept`` defaults to ell_condition at params.s, as in
-    random_condition_family.  The scan stops once the count reaches cap, and
-    answers cap when CONDITION_TRIES k-sets are scanned without deciding.
-    """
-    accept = _condition(params, accept)
-    found = 0
-    for scanned, mask in enumerate(enumerate_ksets(params.n, params.k)):
-        if scanned == CONDITION_TRIES:
-            return cap
-        if accept(mask):
-            found += 1
-            if found == cap:
-                return cap
-    return found
-
-
-def random_condition_family(
-    params: Params, size: int, rng, max_tries: int = CONDITION_TRIES, accept=None
-) -> SetFamily:
-    """Rejection-sample a k-uniform family whose members all pass ``accept``.
-
-    ``accept`` takes a member mask and defaults to ell_condition at params.s.
-    Each try draws one rng.sample, so the stream depends only on the number
-    of tries.  The condition is dense at the parameter ranges the randomized
-    verifier suites use, so the retry cap is generous; condition_pool_size
-    bounds the sizes that can be drawn at all.
-    """
+@lru_cache(maxsize=64)
+def _cut_table(params: Params, b: int, thresholds):
+    """Segments of [n] ending at the cuts min(alpha_i, n); a set meets alpha_i
+    with i elements in it.  ``rows[placed]`` lists, for a set with ``placed``
+    elements before the segment and no cut met, each way x to fill it as
+    (qualifying sets, x, cut met, completions of each).  A met set finishes
+    anywhere after its cut.  Returns the count and (offset, length, rows)."""
     n, k = params.n, params.k
-    accept = _condition(params, accept)
+    if thresholds is None:
+        thresholds = default_thresholds(params.s, k, b)
+    need: dict[int, int] = {}
+    for i, alpha in enumerate(thresholds, start=b):
+        need.setdefault(min(max(alpha, 0), n), i)  # the first i at a cut is the least
+    cuts = sorted(need)
+    later = (0,) * (k + 1)  # a set that meets no cut never qualifies
+    segments = []
+    for lo, hi in reversed(list(zip([0] + cuts, cuts))):
+        rows = []
+        for placed in range(k + 1):
+            row = []
+            for x in range(min(k - placed, hi - lo) + 1):
+                met = placed + x >= need[hi]
+                rest = binomial(n - hi, k - placed - x) if met else later[placed + x]
+                row.append((binomial(hi - lo, x) * rest, x, met, rest))
+            rows.append(row)
+        later = tuple(sum(option[0] for option in row) for row in rows)
+        segments.append((lo, hi - lo, rows))
+    return later[0], tuple(reversed(segments))
+
+
+def condition_count(params: Params, b: int = 1, thresholds=None) -> int:
+    """Number of k-subsets of [n] with ``meets_thresholds(mask, b, thresholds)``;
+    the tuple ``thresholds`` defaults to ``default_thresholds(s, k, b)``."""
+    return _cut_table(params, b, thresholds)[0]
+
+
+def _draw_member(params: Params, count: int, segments, rng) -> int:
+    """One uniform draw: randrange(count) fixes each segment's share of the
+    set up to the first met cut, and the rest falls uniformly after it;
+    randrange then picks elements in each part until they are distinct."""
+    rank = rng.randrange(count)
+    mask = placed = 0
+    for lo, length, rows in segments:
+        for sets, x, met, rest in rows[placed]:
+            if rank < sets:
+                break
+            rank -= sets
+        rank %= rest
+        placed += x
+        while mask.bit_count() < placed:
+            mask |= 1 << (lo + rng.randrange(length))
+        if met:
+            break
+    tail = lo + length
+    while mask.bit_count() < params.k:
+        mask |= 1 << (tail + rng.randrange(params.n - tail))
+    return mask
+
+
+def random_condition_family(params: Params, size: int, rng, b: int = 1, thresholds=None) -> SetFamily:
+    """Uniform random family of ``size`` distinct k-sets counted by
+    ``condition_count(params, b, thresholds)``; a larger size raises at once."""
+    count, segments = _cut_table(params, b, thresholds)
+    if size > count:
+        raise ShapeError(f"random_condition_family: size {size} exceeds the {count} qualifying sets")
     chosen: set[int] = set()
-    tries = 0
-    population = list(range(1, n + 1))
     while len(chosen) < size:
-        tries += 1
-        if tries > max_tries:
-            raise ShapeError(
-                f"random_condition_family: exceeded {max_tries} tries at size {size}"
-            )
-        combo = rng.sample(population, k)
-        mask = mask_from_elements(combo)
-        if mask in chosen:
-            continue
-        if accept(mask):
-            chosen.add(mask)
-    return SetFamily.from_masks(n, k, chosen)
+        chosen.add(_draw_member(params, count, segments, rng))
+    return SetFamily.from_masks(params.n, params.k, chosen)

@@ -220,15 +220,7 @@ def sample_matching(params: Params, seed: int, t: int | None = None) -> Matching
     equidistributed.
     """
     t, block = matching_shape(params, t)
-    pool = list(params.x_elements())
-    random.Random(seed).shuffle(pool)
-    masks = []
-    for b in range(t):
-        acc = 0
-        for e in pool[b * block : (b + 1) * block]:
-            acc |= 1 << (e - 1)
-        masks.append(acc)
-    return SetFamily.from_masks(params.n, block, masks)
+    return SetFamily.from_masks(params.n, block, sample_ordered_blocks(params, [block] * t, seed))
 
 
 def sample_ordered_blocks(params: Params, sizes: list[int] | None = None, seed: int = 0) -> tuple[int, ...]:

@@ -78,8 +78,7 @@ class TestShiftShadowNu:
     def test_shift_moves_family(self, capsys, tmp_path):
         src = fam_file(tmp_path / "f.txt", 5, 2, (4, 5))
         out = tmp_path / "g.txt"
-        code, rep = run_json(capsys, ["shift", "--in", src, "--closure",
-                                      "--family-out", str(out)])
+        code, rep = run_json(capsys, ["shift", "--in", src, "--family-out", str(out)])
         assert code == 0
         assert rep["applied"] > 0 and not rep["was_already_shifted"]
         assert read_family(str(out)).as_sets() == [(1, 2)]
@@ -339,6 +338,16 @@ class TestVerifyStatements:
         assert rep["thresholds"] == [5, 11]
         assert rep["all_ok"]
 
+    def test_theorem3_single_qualifying_set(self, capsys):
+        # only {1..5} has 5 elements in [5]: the pool is counted, not scanned
+        start = time.perf_counter()
+        code, rep = run_json(capsys, ["verify", "theorem3", "--n", "80", "--k", "5",
+                                      "--s", "1", "--b", "5", "--thresholds", "5",
+                                      "--trials", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert rep["all_ok"] and rep["min_slack"] == "0"  # |shadow_5({1..5})| = 1 = |F|
+
     def test_theorem3_explicit_thresholds(self, capsys):
         code, rep = run_json(capsys, ["verify", "theorem3", "--n", "8", "--k", "2",
                                       "--s", "1", "--b", "1", "--thresholds", "3,8",
@@ -537,10 +546,8 @@ _FUZZ_COMMANDS = {
     "shadow": (["shadow", "--in", "{f}"], [], ["--depth", "--upper", "--target-size"]),
     "local-lym": (["verify", "local-lym", "--in", "{f}"], [], ["--ground"]),
     "bt": (["verify", "bt", "--in", "{f}"], [], ["--u"]),
-    "lemma4": (["verify", "lemma4", "--n", "8", "--k", "2", "--s", "1"],
-               ["--trials"], ["--max-size"]),
-    "theorem3": (["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1"],
-                 ["--trials"], ["--b", "--max-size"]),
+    "lemma4": (["verify", "lemma4"], ["--n", "--k", "--s", "--trials"], ["--max-size"]),
+    "theorem3": (["verify", "theorem3"], ["--n", "--k", "--s", "--trials"], ["--b", "--max-size"]),
     "sample-matching": (["sample-matching"], ["--n", "--k", "--s"], ["--t"]),
     "audit": (["audit"], ["--s", "--k"], ["--factor", "--floor-s"]),
     "procedure": (["procedure", "--tuple", "{d}", "--matching", "{m}", "--config", "{c}"], [], []),

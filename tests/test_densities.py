@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_family
-from emcverify import densities
 from emcverify.constructions import build_extremal, build_gap_set
 from emcverify.core import (
     Params,
@@ -19,8 +20,9 @@ from emcverify.densities import (
     alpha_profile,
     beta_parameter,
     check_sum_beta,
-    condition_pool_size,
+    condition_count,
     decompose,
+    default_thresholds,
     ell_condition,
     gap_set_prefix_peak,
     local_lym_ratio,
@@ -357,33 +359,66 @@ class TestRandomConditionFamily:
     def test_impossible_size_raises(self):
         p = Params(n=5, k=2, s=1)
         with pytest.raises(ShapeError):
-            random_condition_family(p, binomial(5, 2) + 1, random.Random(0), max_tries=500)
+            random_condition_family(p, binomial(5, 2) + 1, random.Random(0))
+
+    def test_uniform_over_a_cut_pool(self):
+        # four cuts, each met first by some sets ({1, 6, 7, 8}, {2, 3, 6, 8},
+        # {2, 4, 5, 8}, {2, 4, 6, 7}): 56 of the 70 4-subsets of [8] qualify
+        p, b, thresholds = Params(n=8, k=4, s=1), 1, (1, 3, 5, 7)
+        pool = {m for m in enumerate_ksets(8, 4) if meets_thresholds(m, b, thresholds)}
+        assert condition_count(p, b, thresholds) == len(pool) == 56
+        rng = random.Random(71)
+        draws = 200 * len(pool)
+        seen = Counter(
+            random_condition_family(p, 1, rng, b, thresholds).members[0] for _ in range(draws)
+        )
+        assert set(seen) == pool
+        df = len(pool) - 1
+        chi2 = sum((seen[m] - 200) ** 2 / 200 for m in pool)
+        assert chi2 < df + 5 * math.sqrt(2 * df)
+
+    def test_single_qualifying_set_in_a_wide_ground(self):
+        # only {1..5} has 5 elements in [5]; C(80, 5) sets are never scanned
+        p = Params(n=80, k=5, s=1)
+        assert condition_count(p, 5, (5,)) == 1
+        f = random_condition_family(p, 1, random.Random(0), 5, (5,))
+        assert f.as_sets() == [(1, 2, 3, 4, 5)]
+        with pytest.raises(ShapeError, match="exceeds the 1 qualifying"):
+            random_condition_family(p, 2, random.Random(0), 5, (5,))
 
 
-class TestConditionPoolSize:
+class TestConditionCount:
     def test_counts_qualifying_ksets(self):
+        # brute force over every shape with n <= 12, k <= 5, s <= 3 and b in
+        # [0, k]: the default thresholds and random ones, some past n
+        rng = random.Random(67)
+        for n in range(1, 13):
+            for k in range(1, min(n, 5) + 1):
+                layer = list(enumerate_ksets(n, k))
+                for s in range(4):
+                    p = Params(n=n, k=k, s=s)
+                    for b in range(k + 1):
+                        cases = [(None, default_thresholds(s, k, b))]
+                        for _ in range(2):
+                            drawn = tuple(rng.randint(-1, n + 3) for _ in range(k - b + 1))
+                            cases.append((drawn, drawn))
+                        for given, thresholds in cases:
+                            pool = sum(1 for m in layer if meets_thresholds(m, b, thresholds))
+                            assert condition_count(p, b, given) == pool, (n, k, s, b, thresholds)
         for n, k, s in ((10, 1, 1), (9, 2, 1), (12, 3, 2), (8, 2, 3)):
-            p = Params(n=n, k=k, s=s)
             pool = sum(1 for m in enumerate_ksets(n, k) if ell_condition(m, s, k))
-            assert condition_pool_size(p, binomial(n, k)) == pool
-            assert condition_pool_size(p, 1) == 1
+            assert condition_count(Params(n=n, k=k, s=s)) == pool
         # (10, 1, 1): only {1}, ..., {5} meet the condition
-        assert condition_pool_size(Params(n=10, k=1, s=1), 60) == 5
+        assert condition_count(Params(n=10, k=1, s=1)) == 5
 
-    def test_custom_predicate(self):
+    def test_explicit_thresholds(self):
         p = Params(n=9, k=2, s=1)
-        accept = lambda m: meets_thresholds(m, 2, (3,))
-        assert condition_pool_size(p, 100, accept) == 3  # the 2-subsets of [3]
-
-    def test_budget_answers_the_cap(self, monkeypatch):
-        # the try budget runs out before the scan decides: the cap stands
-        p = Params(n=30, k=3, s=1)
-        assert condition_pool_size(p, 10**6, lambda m: m == 7) == 1
-        monkeypatch.setattr(densities, "CONDITION_TRIES", 50)
-        assert condition_pool_size(p, 10**6, lambda m: m == 7) == 10**6
+        assert condition_count(p, 2, (3,)) == 3  # the 2-subsets of [3]
+        assert condition_count(p, 0, (0, 4, 5)) == binomial(9, 2)  # i = 0 always holds
+        assert condition_count(p, 1, (20, 30)) == binomial(9, 2)  # cuts past n clamp to n
 
     def test_capped_size_is_drawable(self):
         p = Params(n=10, k=1, s=1)
-        size = condition_pool_size(p, 10)
+        size = condition_count(p)
         f = random_condition_family(p, size, random.Random(3))
         assert len(f) == size == 5
