@@ -399,7 +399,7 @@ def cmd_verify_theorem3(args):
     if args.thresholds:
         thresholds = _number_list(args.thresholds, int, "--thresholds")
     else:
-        thresholds = default_thresholds(args.s, args.k, b)
+        thresholds = tuple(default_thresholds(args.s, args.k, b))
     check_theorem3_args(args.k, b, thresholds)
 
     def check(fam):

@@ -164,9 +164,10 @@ def meets_thresholds(mask: int, b: int, thresholds) -> bool:
     )
 
 
-def default_thresholds(s: int, k: int, b: int = 1) -> tuple[int, ...]:
-    """The weighted-shadow cut-offs alpha_i = 3(s+1)i - 1 for i in [b, k]."""
-    return tuple(3 * (s + 1) * i - 1 for i in range(b, k + 1))
+def default_thresholds(s: int, k: int, b: int = 1) -> range:
+    """The weighted-shadow cut-offs alpha_i = 3(s+1)i - 1 for i in [b, k], lazily."""
+    step = 3 * (s + 1)
+    return range(step * b - 1, step * (k + 1) - 1, step)
 
 
 def ell_condition(member_mask: int, s: int, k: int | None = None) -> bool:
@@ -275,13 +276,13 @@ def gap_set_prefix_peak(gap_mask: int, n: int) -> Fraction:
     return _prefix_peak(gap_mask, n)[0]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _cut_table(params: Params, b: int, thresholds):
-    """Segments of [n] ending at the cuts min(alpha_i, n); a set meets alpha_i
-    with i elements in it.  ``rows[placed]`` lists, for a set with ``placed``
-    elements before the segment and no cut met, each way x to fill it as
-    (qualifying sets, x, cut met, completions of each).  A met set finishes
-    anywhere after its cut.  Returns the count and (offset, length, rows)."""
+    """Segments of [n] ending at the cuts min(alpha_i, n), then n.  A set with
+    ``placed`` elements up to ``lo`` and no cut met has C(n - lo, k - placed)
+    completions, less ``avoid[placed]`` that meet no later cut; ``avoid`` keeps
+    placed <= lo below the need at ``lo``, the least i cutting there.  Returns
+    the count and (lo, hi, need at hi, avoid at hi) per segment."""
     n, k = params.n, params.k
     if thresholds is None:
         thresholds = default_thresholds(params.s, k, b)
@@ -289,25 +290,22 @@ def _cut_table(params: Params, b: int, thresholds):
     for i, alpha in enumerate(thresholds, start=b):
         need.setdefault(min(max(alpha, 0), n), i)  # the first i at a cut is the least
     cuts = sorted(need)
-    later = (0,) * (k + 1)  # a set that meets no cut never qualifies
+    avoid = {k: 1}  # at n, all k elements are placed
     segments = []
-    for lo, hi in reversed(list(zip([0] + cuts, cuts))):
-        rows = []
-        for placed in range(k + 1):
-            row = []
-            for x in range(min(k - placed, hi - lo) + 1):
-                met = placed + x >= need[hi]
-                rest = binomial(n - hi, k - placed - x) if met else later[placed + x]
-                row.append((binomial(hi - lo, x) * rest, x, met, rest))
-            rows.append(row)
-        later = tuple(sum(option[0] for option in row) for row in rows)
-        segments.append((lo, hi - lo, rows))
-    return later[0], tuple(reversed(segments))
+    for lo, hi in reversed(list(zip([0] + cuts, cuts + [n]))):
+        segments.append((lo, hi, need.get(hi, k + 1), avoid))  # k + 1: never met
+        below = min(lo, need.get(lo, k + 1) - 1)
+        avoid_lo: dict[int, int] = {}
+        for after, ways in avoid.items():
+            for x in range(max(0, after - below), min(hi - lo, after) + 1):
+                avoid_lo[after - x] = avoid_lo.get(after - x, 0) + binomial(hi - lo, x) * ways
+        avoid = avoid_lo
+    return binomial(n, k) - avoid.get(0, 0), tuple(reversed(segments))
 
 
 def condition_count(params: Params, b: int = 1, thresholds=None) -> int:
     """Number of k-subsets of [n] with ``meets_thresholds(mask, b, thresholds)``;
-    the tuple ``thresholds`` defaults to ``default_thresholds(s, k, b)``."""
+    ``thresholds`` (hashable) defaults to ``default_thresholds(s, k, b)``."""
     return _cut_table(params, b, thresholds)[0]
 
 
@@ -315,22 +313,24 @@ def _draw_member(params: Params, count: int, segments, rng) -> int:
     """One uniform draw: randrange(count) fixes each segment's share of the
     set up to the first met cut, and the rest falls uniformly after it;
     randrange then picks elements in each part until they are distinct."""
+    n, k = params.n, params.k
     rank = rng.randrange(count)
     mask = placed = 0
-    for lo, length, rows in segments:
-        for sets, x, met, rest in rows[placed]:
+    for lo, hi, need, avoid in segments:
+        for x in range(min(hi - lo, k - placed) + 1):
+            rest = binomial(n - hi, k - placed - x) - avoid.get(placed + x, 0)  # 0 once met
+            sets = binomial(hi - lo, x) * rest
             if rank < sets:
                 break
             rank -= sets
         rank %= rest
         placed += x
         while mask.bit_count() < placed:
-            mask |= 1 << (lo + rng.randrange(length))
-        if met:
+            mask |= 1 << (lo + rng.randrange(hi - lo))
+        if placed >= need:
             break
-    tail = lo + length
-    while mask.bit_count() < params.k:
-        mask |= 1 << (tail + rng.randrange(params.n - tail))
+    while mask.bit_count() < k:
+        mask |= 1 << (hi + rng.randrange(n - hi))
     return mask
 
 

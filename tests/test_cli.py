@@ -331,6 +331,18 @@ class TestVerifyStatements:
         assert code == 0
         assert rep["all_ok"] and rep["trials"] == 3
 
+    @pytest.mark.parametrize("n,k,s", [(2000, 600, 1), (5000, 5000, 0), (1200, 390, 0)])
+    def test_lemma4_large_k_is_quick(self, capsys, n, k, s):
+        # the cut table keeps only the states a set can reach and that can
+        # still miss every later cut: none for the first two shapes, and the
+        # most near k = n / (3(s + 1)), as in the third
+        start = time.perf_counter()
+        code, rep = run_json(capsys, ["verify", "lemma4", "--n", str(n), "--k", str(k),
+                                      "--s", str(s), "--trials", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert rep["all_ok"]
+
     def test_theorem3_report(self, capsys):
         code, rep = run_json(capsys, ["verify", "theorem3", "--n", "11", "--k", "2",
                                       "--s", "1", "--trials", "10"])

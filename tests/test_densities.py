@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -398,7 +399,7 @@ class TestConditionCount:
                 for s in range(4):
                     p = Params(n=n, k=k, s=s)
                     for b in range(k + 1):
-                        cases = [(None, default_thresholds(s, k, b))]
+                        cases = [(None, tuple(3 * (s + 1) * i - 1 for i in range(b, k + 1)))]
                         for _ in range(2):
                             drawn = tuple(rng.randint(-1, n + 3) for _ in range(k - b + 1))
                             cases.append((drawn, drawn))
@@ -410,6 +411,19 @@ class TestConditionCount:
             assert condition_count(Params(n=n, k=k, s=s)) == pool
         # (10, 1, 1): only {1}, ..., {5} meet the condition
         assert condition_count(Params(n=10, k=1, s=1)) == 5
+
+    def test_default_thresholds(self):
+        assert tuple(default_thresholds(1, 3)) == (5, 11, 17)
+        assert tuple(default_thresholds(0, 2, 0)) == (-1, 2, 5)
+        assert tuple(default_thresholds(2, 1, 2)) == ()
+
+    def test_large_k_counts(self):
+        # no 600-subset of [2000] keeps |A ∩ [6i - 1]| < i up to i = 333, and
+        # [5000] is the only 5000-subset; both tables keep no avoid entries
+        start = time.perf_counter()
+        assert condition_count(Params(n=2000, k=600, s=1)) == binomial(2000, 600)
+        assert condition_count(Params(n=5000, k=5000, s=0)) == 1
+        assert time.perf_counter() - start < 1.0
 
     def test_explicit_thresholds(self):
         p = Params(n=9, k=2, s=1)
