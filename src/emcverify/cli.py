@@ -480,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     family_in = argparse.ArgumentParser(add_help=False)
     family_in.add_argument("--in", dest="input", required=True)
     family_out = argparse.ArgumentParser(add_help=False)
-    family_out.add_argument("--family-out", "--emit", dest="family_out", default=None)
+    family_out.add_argument("--family-out", "--emit", dest="family_out", default=None,
+                            help="write the resulting family to this file")
     nks = argparse.ArgumentParser(add_help=False)
     _required_ints(nks, "n", "k", "s")
     trials = argparse.ArgumentParser(add_help=False)
@@ -495,11 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="emcverify")
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = add(sub, "construct", cmd_construct, nks, help="extremal families and gap sets")
+    p = add(sub, "construct", cmd_construct, nks, family_out,
+            help="extremal families and gap sets")
     p.add_argument("--kind", required=True, choices=("A", "B", "gap-dense", "gap-sparse"))
     p.add_argument("--size-only", action="store_true")
-    p.add_argument("--family-out", "--emit", dest="family_out", default=None,
-                   help="also write the family file here")
 
     add(sub, "shift", cmd_shift, family_in, family_out,
         help="compress a family to its shifted fixpoint")
@@ -516,10 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(sub, "rainbow", cmd_rainbow, help="search a system of disjoint representatives")
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
 
-    p = add(sub, "sample-matching", cmd_sample_matching, nks,
+    p = add(sub, "sample-matching", cmd_sample_matching, nks, family_out,
             help="seeded uniform block matching")
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--family-out", default=None)
 
     p = add(sub, "concentration", cmd_concentration, nks,
             help="intersection-count distribution, exact or sampled")

@@ -294,6 +294,11 @@ def gamma_threshold(t: int, s: int) -> float:
     return 10.0 * math.sqrt(t * math.log(s))
 
 
+def default_gamma(t: int, s: int) -> float:
+    """gamma_threshold(t, s) where it is defined (t >= 1, s >= 2), else 0."""
+    return gamma_threshold(t, s) if t >= 1 and s >= 2 else 0.0
+
+
 def event_probe(
     families: FamilyTuple,
     params: Params,
@@ -313,7 +318,7 @@ def event_probe(
     if trials < 1:
         raise ShapeError("event_probe: need at least one trial")
     if gamma is None:
-        gamma = gamma_threshold(t_val, s) if s >= 2 else 0.0
+        gamma = default_gamma(t_val, s)
     profile = alpha_profile(families)
     # Slice member sets, indexed [i][j-1]; slices live inside X already.
     slices = [[set(part.members) for part in slice_partition(fam, s)[1:]] for fam in families]

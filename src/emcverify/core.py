@@ -202,15 +202,16 @@ def validate_family_tuple(families: Sequence[SetFamily], s: int | None = None) -
 
 
 def _colex_masks(n: int, k: int) -> Iterator[int]:
-    if k == 0:
-        yield 0
-        return
-    if k > n:
-        return
-    for top in range(k, n + 1):
-        bit = 1 << (top - 1)
-        for rest in _colex_masks(top - 1, k - 1):
-            yield rest | bit
+    """The k-subsets of [n] as increasing masks (colex order), each found
+    from the last by Gosper's step to the next larger mask of popcount k."""
+    mask, top = (1 << k) - 1, 1 << n
+    while mask < top:
+        yield mask
+        if not mask:  # k = 0: the empty set is the only one
+            return
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
 def enumerate_ksets(n: int, k: int, order: str = "colex") -> Iterator[int]:

@@ -10,6 +10,7 @@ rounding.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +23,7 @@ from .core import (
     binomial,
     elements_from_mask,
     interval_mask,
+    mask_bits,
     mask_from_elements,
     validate_family_tuple,
 )
@@ -119,22 +121,22 @@ class BetaValue:
 
 
 def _prefix_peak(mask: int, n: int) -> tuple[Fraction, int]:
-    """max over ell in [n] of |A ∩ [ell]| / ell, and the smallest ell attaining it."""
+    """max over ell in [n] of |A ∩ [ell]| / ell, and the smallest ell attaining it.
+
+    Between two elements of A the count stays fixed while ell grows, so the
+    peak, and the smallest ell attaining it, fall on an element: the scan
+    walks A's elements up to n, one step per element.
+    """
     best_num, best_ell = 0, 1
-    inside = 0
-    for ell in range(1, n + 1):
-        inside += mask >> (ell - 1) & 1
+    for inside, bit in enumerate(mask_bits(mask & interval_mask(1, n)), start=1):
+        ell = bit.bit_length()
         if inside * best_ell > best_num * ell:
             best_num, best_ell = inside, ell
     return Fraction(best_num, best_ell), best_ell
 
 
 def beta_parameter(family: SetFamily) -> BetaValue:
-    """min over members A of max over ell in [n] of |A ∩ [ell]| / ell, exactly.
-
-    The scan covers every prefix length rather than just the member's own
-    elements — the quantifier has no stated range, and the full scan is cheap.
-    """
+    """min over members A of max over ell in [n] of |A ∩ [ell]| / ell, exactly."""
     if len(family) == 0:
         raise ShapeError("beta_parameter: undefined for the empty family")
     (value, ell), member = min(
@@ -182,17 +184,14 @@ def ell_condition(member_mask: int, s: int, k: int | None = None) -> bool:
 def verify_lemma4(family: SetFamily, s: int) -> tuple[int, int, bool]:
     """Check (3s+2) * |one-step lower shadow| >= |family|.
 
-    Every member must satisfy ell_condition for the bound to be claimed;
-    violating members raise with the offending set named.
+    This is theorem3_slack at depth 1 with the cut-offs alpha_i = 3(s+1)i - 1,
+    where beta = min_i i / (alpha_i - i + 1) = 1/(3s+2) exactly; so every
+    member must satisfy ell_condition, and a violating member raises with the
+    offending set named.
     """
-    for m in family.members:
-        if not ell_condition(m, s, family.k):
-            raise ShapeError(
-                f"verify_lemma4: member {sorted(elements_from_mask(m))} fails the "
-                f"prefix-density condition for s={s}"
-            )
-    lhs = (3 * s + 2) * len(lower_shadow(family, 1))
+    beta, slack = theorem3_slack(family, 1, tuple(default_thresholds(s, family.k)))
     rhs = len(family)
+    lhs = int(slack / beta) + rhs  # (3s+2) * |shadow|
     return lhs, rhs, lhs >= rhs
 
 
@@ -220,6 +219,18 @@ def check_theorem3_args(k: int, b: int, thresholds: tuple[int, ...]) -> None:
             )
 
 
+@lru_cache(maxsize=8)
+def _theorem3_beta(k: int, b: int, thresholds: tuple[int, ...]) -> Fraction:
+    """beta = min_i C(alpha_i, i - b) / C(alpha_i, i) of checked arguments, once
+    per shape: each ratio is i! / (i - b)! over (alpha_i - i + b)! / (alpha_i - i)!,
+    two products of b factors rather than two binomials of alpha_i."""
+    check_theorem3_args(k, b, thresholds)
+    return min(
+        Fraction(math.perm(i, b), math.perm(alpha - i + b, b))
+        for i, alpha in enumerate(thresholds, start=b)
+    )
+
+
 def theorem3_slack(
     family: SetFamily, b: int, thresholds: tuple[int, ...]
 ) -> tuple[Fraction, Fraction]:
@@ -230,17 +241,12 @@ def theorem3_slack(
     beta = min_i C(alpha_i, i - b) / C(alpha_i, i) and the exact slack
     |shadow_b(F)| - beta * |F|; the bound holds iff the slack is >= 0.
     """
-    k = family.k
-    check_theorem3_args(k, b, thresholds)
+    beta = _theorem3_beta(family.k, b, tuple(thresholds))
     for m in family.members:
         if not meets_thresholds(m, b, thresholds):
             raise ShapeError(
                 f"verify_theorem3: member {sorted(elements_from_mask(m))} fails every threshold"
             )
-    beta = min(
-        Fraction(binomial(thresholds[i - b], i - b), binomial(thresholds[i - b], i))
-        for i in range(b, k + 1)
-    )
     return beta, len(lower_shadow(family, b)) - beta * len(family)
 
 

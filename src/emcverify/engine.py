@@ -26,7 +26,7 @@ from .core import (
     scaled_params,
     validate_family_tuple,
 )
-from .concentration import gamma_threshold
+from .concentration import default_gamma, gamma_threshold
 from .densities import beta_parameter, slice_partition
 from .matchings import Matching
 
@@ -38,7 +38,7 @@ def _integral(val) -> int:
 
 
 # Field type (as annotated) -> converter of a raw config value.
-_CONVERTERS = {"int": _integral, "float": float, "Fraction": Fraction, "str": str}
+_CONVERTERS = {"int": _integral, "float": float, "Fraction": Fraction}
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ class ThresholdConfig:
     third_slice: int
     beta_large_cut: Fraction
     eligibility_coeff: int
-    one_set_rule: str  # "r4-guard" (default) or "w1-empty"
 
     def __post_init__(self):
         sp1 = self.s + 1
@@ -72,8 +71,6 @@ class ThresholdConfig:
             raise ShapeError(f"third_slice={self.third_slice} outside [1, {sp1}]")
         if not self.gamma >= 0:
             raise ShapeError(f"gamma={self.gamma} must be >= 0")
-        if self.one_set_rule not in ("r4-guard", "w1-empty"):
-            raise ShapeError(f"unknown one_set_rule {self.one_set_rule!r}")
 
     @classmethod
     def from_params(
@@ -81,12 +78,11 @@ class ThresholdConfig:
         params: Params,
         t: int | None = None,
         gamma: float | None = None,
-        one_set_rule: str = "r4-guard",
     ) -> "ThresholdConfig":
         s = params.s
         t_val = params.t if t is None else t
         if gamma is None:
-            gamma = gamma_threshold(t_val, s) if s >= 2 and t_val >= 1 else 0.0
+            gamma = default_gamma(t_val, s)
         sp1 = s + 1
         return cls(
             s=s,
@@ -99,7 +95,6 @@ class ThresholdConfig:
             third_slice=-(-sp1 // 3),
             beta_large_cut=Fraction(1, 3 * sp1),
             eligibility_coeff=3 * s + 2,
-            one_set_rule=one_set_rule,
         )
 
     def with_overrides(self, raw: dict) -> "ThresholdConfig":
@@ -319,22 +314,14 @@ def _arrange_core(families: FamilyTuple, matching: Matching, config: ThresholdCo
         rules_applied=tuple(rules),
         config=config,
     )
-    return trace, order0, tables, config
+    return trace, order0, tables
 
 
 def arrange_families(
     families: FamilyTuple, matching: Matching, config: ThresholdConfig | None = None
 ) -> ProcedureTrace:
     """Apply rules R1-R4 and the W1/W2 split; no selection steps are run."""
-    trace, _, _, _ = _arrange_core(families, matching, config)
-    return trace
-
-
-def _first_free(blocks: list[int], used: set[int]) -> int | None:
-    for b in blocks:
-        if b not in used:
-            return b
-    return None
+    return _arrange_core(families, matching, config)[0]
 
 
 def attempt_rainbow_procedure(
@@ -347,13 +334,22 @@ def attempt_rainbow_procedure(
     m_R <= s + 2 - r - R; assumptions-unmet when a desk-scale instance
     violates a guard the derivation takes for granted.
     """
-    trace, order0, tables, config = _arrange_core(families, matching, config)
+    trace, order0, tables = _arrange_core(families, matching, config)
     s, s1 = trace.s, trace.s1
     assumptions = list(trace.assumptions_unmet)
     rules = list(trace.rules_applied)
     used: set[int] = set()
     picks: dict[int, tuple[int, int]] = {}  # position -> (slice j, block)
     r = 0
+
+    def take(p: int, j: int) -> bool:
+        """Give position p the first unused block of slice j; False if none is left."""
+        for blk in tables[order0[p - 1]].hits[j]:
+            if blk not in used:
+                used.add(blk)
+                picks[p] = (j, blk)
+                return True
+        return False
 
     def finish(outcome: str, failed_index: int | None = None, note: str | None = None):
         if note is not None:
@@ -370,33 +366,21 @@ def attempt_rainbow_procedure(
     # Step (1): W1 positions in decreasing order get slices s+1, s, ...
     for idx, p in enumerate(sorted(trace.w1, reverse=True), start=1):
         j = s + 2 - idx
-        blk = _first_free(tables[order0[p - 1]].hits[j], used)
-        if blk is None:
+        if not take(p, j):
             return finish(
                 "assumptions-unmet",
                 note=f"step 1: no free block in slice {j} at position {p}",
             )
-        used.add(blk)
-        picks[p] = (j, blk)
     r = len(trace.w1)
 
-    # Step (1'): one set from the top slice of the last family, only in the
-    # no-W1 regime.  Under the default guard it fires exactly when R4 moved a
-    # top-slice witness into the last position.
-    if r == 0:
-        fire = ("R4" in rules) if config.one_set_rule == "r4-guard" else True
-        if fire:
-            p, j = s + 1, s + 1
-            blk = _first_free(tables[order0[p - 1]].hits[j], used)
-            if blk is not None:
-                used.add(blk)
-                picks[p] = (j, blk)
-                r = 1
-                rules.append("1'")
-            else:
-                assumptions.append(
-                    "step 1': the top slice at the last position has no free block"
-                )
+    # Step (1'): with W1 empty, one set from the top slice of the last
+    # family, exactly when R4 moved a top-slice witness into that position.
+    # No block is used yet, so the witness's first top-slice block is free.
+    if r == 0 and "R4" in rules:
+        picked = take(s + 1, s + 1)
+        assert picked, "R4 leaves a top-slice block at the last position"
+        r = 1
+        rules.append("1'")
 
     # Step (2): front-block positions i take slices s + 2 - r - i.
     for i in range(1, s1 + 1):
@@ -406,26 +390,20 @@ def attempt_rainbow_procedure(
                 "assumptions-unmet",
                 note=f"step 2: slice index {j} out of range at position {i}",
             )
-        blk = _first_free(tables[order0[i - 1]].hits[j], used)
-        if blk is None:
+        if not take(i, j):
             # Every block of F(j) ∩ M is spoken for, so its count is at most
             # |used| = r + i - 1 = s + 1 - j, certifying m_i <= j.
             assert trace.m_values[i - 1] <= j, "step-2 failure must certify the m bound"
             return finish("step2-failed", failed_index=i)
-        used.add(blk)
-        picks[i] = (j, blk)
 
     # Step (3): remaining W2 positions in increasing order get slices 1, 2, ...
     vs = [p for p in sorted(trace.w2) if p not in picks]
     for jdx, p in enumerate(vs, start=1):
-        blk = _first_free(tables[order0[p - 1]].hits[jdx], used)
-        if blk is None:
+        if not take(p, jdx):
             return finish(
                 "assumptions-unmet",
                 note=f"step 3: no free block in slice {jdx} at position {p}",
             )
-        used.add(blk)
-        picks[p] = (jdx, blk)
 
     # Assemble and audit the witness: block plus its slice element.
     witness: list[int | None] = [None] * (s + 1)

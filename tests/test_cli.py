@@ -210,13 +210,14 @@ class TestSampleMatchingCmd:
 
     def test_family_out_is_readable_matching(self, capsys, tmp_path):
         out = tmp_path / "m.txt"
-        code, rep = run_json(capsys, ["sample-matching", "--n", "9", "--k", "2",
-                                      "--s", "2", "--t", "3", "--family-out", str(out)])
-        assert code == 0
-        m = read_family(str(out))
-        assert m.k == 1 and len(m) == 3
-        assert [list(b) for b in m.as_sets()] == rep["blocks"]
-        assert all(b[0] >= 4 for b in rep["blocks"])
+        for flag in ("--family-out", "--emit"):
+            code, rep = run_json(capsys, ["sample-matching", "--n", "9", "--k", "2",
+                                          "--s", "2", "--t", "3", flag, str(out)])
+            assert code == 0
+            m = read_family(str(out))
+            assert m.k == 1 and len(m) == 3
+            assert [list(b) for b in m.as_sets()] == rep["blocks"]
+            assert all(b[0] >= 4 for b in rep["blocks"])
 
 
 class TestConcentrationCmd:
@@ -566,7 +567,14 @@ _FUZZ_COMMANDS = {
     "shift": (["shift", "--in", "{f}"], [], []),
     "rainbow": (["rainbow", "--in", "{f}", "{f}"], [], []),
     "construct-A": (["construct", "--kind", "A"], ["--n", "--k", "--s"], []),
+    "concentration": (["concentration", "--in", "{f}"], ["--n", "--k", "--s", "--trials"], ["--t"]),
+    "concentration-exact": (["concentration", "--exact", "--in", "{f}"], ["--n", "--k", "--s"], ["--t"]),
+    "emc": (["verify", "emc"], ["--n-max", "--k-max", "--s-max"], []),
+    "rainbow-emc": (["verify", "rainbow-emc"], ["--n-max", "--k-max", "--s-max"], []),
 }
+# Flags drawn from a narrower range than `_small`: the rainbow-EMC grid scans
+# every shifted tuple of a row, so --n-max 8 already takes seconds.
+_FLAG_VALUES = {("rainbow-emc", "--n-max"): st.integers(-2, 6)}
 
 
 @pytest.fixture(scope="module")
@@ -596,8 +604,9 @@ def test_fuzzed_inputs_keep_exit_code_contract(fuzz_root, data):
     (root / "c.json").write_text(json.dumps(config))
     matching = valid_matching if data.draw(st.booleans(), label="valid M") else str(family)
     argv = [a.format(f=family, d=tuple_dir, m=matching, c=root / "c.json") for a in argv]
-    flags = {f: data.draw(_small, label=f) for f in required}
-    flags.update({f: data.draw(_small, label=f) for f in optional if data.draw(st.booleans())})
+    values = {f: _FLAG_VALUES.get((name, f), _small) for f in required + optional}
+    flags = {f: data.draw(values[f], label=f) for f in required}
+    flags.update({f: data.draw(values[f], label=f) for f in optional if data.draw(st.booleans())})
     for flag, value in flags.items():
         argv += [flag, str(value)]
     err = io.StringIO()

@@ -375,3 +375,10 @@ class TestEventProbe:
         assert event_probe(fams, p, trials=150, seed=9) == event_probe(
             fams, p, trials=150, seed=9
         )
+
+    def test_zero_length_matching_takes_gamma_zero(self):
+        # n' = 2 < k gives t = 0, where gamma_threshold is undefined; the
+        # default gamma of 0 applies, as in the engine, and every count sits at 0
+        p = Params(n=5, k=3, s=2)
+        f = SetFamily.from_sets(5, 3, [(1, 4, 5)])
+        assert event_probe((f, f, f), p, 3, 1) == (1, 0)

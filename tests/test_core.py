@@ -175,6 +175,9 @@ class TestEnumeration:
         with pytest.raises(ShapeError):
             list(enumerate_ksets(3, 2, "middle"))
 
+    def test_colex_deep_layer_does_not_recurse(self):
+        assert next(enumerate_ksets(2000, 1000)) == (1 << 1000) - 1
+
 
 class TestLexInitial:
     def test_examples(self):

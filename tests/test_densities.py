@@ -31,6 +31,7 @@ from emcverify.densities import (
     random_condition_family,
     slice_family,
     slice_partition,
+    theorem3_slack,
     verify_lemma4,
     verify_theorem3,
 )
@@ -235,6 +236,14 @@ class TestLemma4:
 
     def test_empty(self):
         assert verify_lemma4(fam(5, 2), s=1) == (0, 0, True)
+
+    def test_default_cutoffs_give_weighted_beta(self):
+        # i / (alpha_i - i + 1) = 1/(3s+2) at every i, so Lemma 4 is Theorem 3 at depth 1
+        for s in range(0, 8):
+            for k in range(1, 7):
+                n = 3 * (s + 1) * k
+                beta, slack = theorem3_slack(fam(n, k), 1, tuple(default_thresholds(s, k)))
+                assert (beta, slack) == (Fraction(1, 3 * s + 2), 0)
 
     def test_condition_violation_names_member(self):
         with pytest.raises(ShapeError, match=r"\[6, 12\]"):

@@ -38,7 +38,6 @@ class TestThresholdConfig:
         assert cfg.third_slice == 2
         assert cfg.beta_large_cut == Fraction(1, 18)
         assert cfg.eligibility_coeff == 17
-        assert cfg.one_set_rule == "r4-guard"
 
     def test_gamma_defaults_to_threshold(self):
         p = Params(n=40, k=2, s=5)
@@ -46,10 +45,6 @@ class TestThresholdConfig:
         assert cfg.gamma == pytest.approx(10 * math.sqrt(p.t * math.log(5)))
         tiny = ThresholdConfig.from_params(Params(n=8, k=2, s=1))
         assert tiny.gamma == 0.0
-
-    def test_bad_rule(self):
-        with pytest.raises(ShapeError):
-            ThresholdConfig.from_params(Params(n=8, k=2, s=1), one_set_rule="always")
 
     def test_with_overrides_converts_by_field_type(self):
         base = ThresholdConfig.from_params(Params(n=8, k=2, s=1))
