@@ -120,30 +120,22 @@ def _flatten(obj) -> dict:
     return flat
 
 
-def _emit(args, report: dict, csv_rows=None) -> None:
-    report = dict(report)
-    report["spec_version"] = SPEC_VERSION
-    if args.format == "json":
-        payload = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        if csv_rows is None:
-            raise UsageError("csv format is not defined for this subcommand")
+def _render(args, report: dict, csv_rows=None) -> str:
+    if args.format == "csv":
         buf = io.StringIO()
-        writer = csv_module.writer(buf)
-        writer.writerows(csv_rows)
-        payload = buf.getvalue()
-    else:
-        payload = "".join(f"{k}: {v}\n" for k, v in sorted(_flatten(report).items()))
-    if args.out:
-        Path(args.out).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+        csv_module.writer(buf).writerows(csv_rows)
+        return buf.getvalue()
+    report = {**report, "spec_version": SPEC_VERSION}
+    if args.format == "json":
+        return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    return "".join(f"{k}: {v}\n" for k, v in sorted(_flatten(report).items()))
 
 
 # --- subcommand handlers ----------------------------------------------------
 #
-# Each handler returns (report, verdict) or (report, verdict, csv_rows);
-# run() writes the report and turns the verdict into the exit code.
+# Each handler returns (report, verdict), or (report, verdict, csv_rows) when
+# its parser is marked table=True; construct --size-only returns a bare count.
+# run() writes the result and turns the verdict into the exit code.
 
 
 def cmd_construct(args):
@@ -195,16 +187,11 @@ def cmd_shadow(args):
         raise UsageError("--depth and --upper are mutually exclusive")
     if args.upper is not None:
         direction, target = "upper", args.upper
-    elif args.depth is not None:
-        direction, target = "lower", fam.k - args.depth
-    else:
-        direction = args.direction
-        step = -1 if direction == "lower" else 1
-        target = fam.k + step if args.target_size is None else args.target_size
-    if direction == "lower":
-        shadow = lower_shadow(fam, fam.k - target)
-    else:
         shadow = upper_shadow(fam, target)
+    else:
+        depth = 1 if args.depth is None else args.depth
+        direction, target = "lower", fam.k - depth
+        shadow = lower_shadow(fam, depth)
     floor = kk_min_shadow_size(fam.n, fam.k, len(fam), direction, target_size=target)
     verdict = len(shadow) >= floor
     report = {
@@ -473,9 +460,8 @@ def _required_ints(p: argparse.ArgumentParser, *names: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     # Argument groups shared by several subcommands, as parent parsers.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_int_any_base, default=DEFAULT_SEED,
-                        help=f"RNG seed (default 0x{DEFAULT_SEED:X})")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    common.add_argument("--format", choices=("json", "csv", "text"), default="json",
+                        help="csv only where the report has a table")
     common.add_argument("--out", default=None, help="write the report to this path")
     family_in = argparse.ArgumentParser(add_help=False)
     family_in.add_argument("--in", dest="input", required=True)
@@ -484,13 +470,17 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the resulting family to this file")
     nks = argparse.ArgumentParser(add_help=False)
     _required_ints(nks, "n", "k", "s")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_int_any_base, default=DEFAULT_SEED,
+                        help=f"RNG seed (default 0x{DEFAULT_SEED:X})")
     trials = argparse.ArgumentParser(add_help=False)
     trials.add_argument("--trials", type=int, default=100)
     trials.add_argument("--max-size", type=int, default=60)
 
-    def add(subparsers, name, handler, *parents, **kwargs):
+    def add(subparsers, name, handler, *parents, table=False, **kwargs):
+        # table: the handler returns csv rows, so --format csv is defined
         p = subparsers.add_parser(name, parents=[common, *parents], **kwargs)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, table=table)
         return p
 
     parser = argparse.ArgumentParser(prog="emcverify")
@@ -506,21 +496,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add(sub, "shadow", cmd_shadow, family_in, family_out,
             help="shadow sizes against the extremal floor")
-    p.add_argument("--depth", type=int, default=None, help="lower-shadow depth b")
+    p.add_argument("--depth", type=int, default=None, help="lower-shadow depth b (default 1)")
     p.add_argument("--upper", type=int, default=None, help="upper-shadow target size u")
-    p.add_argument("--direction", choices=("lower", "upper"), default="lower")
-    p.add_argument("--target-size", type=int, default=None)
 
     add(sub, "nu", cmd_nu, family_in, help="exact matching number")
 
     p = add(sub, "rainbow", cmd_rainbow, help="search a system of disjoint representatives")
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
 
-    p = add(sub, "sample-matching", cmd_sample_matching, nks, family_out,
+    p = add(sub, "sample-matching", cmd_sample_matching, nks, seeded, family_out,
             help="seeded uniform block matching")
     p.add_argument("--t", type=int, default=None)
 
-    p = add(sub, "concentration", cmd_concentration, nks,
+    p = add(sub, "concentration", cmd_concentration, nks, seeded, table=True,
             help="intersection-count distribution, exact or sampled")
     p.add_argument("--in", "--family", dest="input", required=True, help="block family file")
     p.add_argument("--t", type=int, default=None)
@@ -536,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON threshold overrides")
     p.add_argument("--arrange-only", action="store_true")
 
-    p = add(sub, "audit", cmd_audit, help="exact arithmetic audit at scale")
+    p = add(sub, "audit", cmd_audit, table=True, help="exact arithmetic audit at scale")
     _required_ints(p, "s", "k")
     p.add_argument("--checks", default=None,
                    help=f"comma-separated subset of: {','.join(CHECK_NAMES)}")
@@ -547,14 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="statement-level verifiers")
     vsub = verify.add_subparsers(dest="what")
 
-    add(vsub, "lemma4", cmd_verify_lemma4, nks, trials)
+    add(vsub, "lemma4", cmd_verify_lemma4, nks, seeded, trials)
 
-    p = add(vsub, "theorem3", cmd_verify_theorem3, nks, trials)
+    p = add(vsub, "theorem3", cmd_verify_theorem3, nks, seeded, trials)
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--thresholds", default=None, help="comma-separated prefix lengths")
 
     for name, rainbow in (("emc", False), ("rainbow-emc", True)):
-        p = add(vsub, name, cmd_verify_emc)
+        p = add(vsub, name, cmd_verify_emc, table=True)
         _required_ints(p, "n-max", "k-max", "s-max")
         p.set_defaults(rainbow=rainbow)
 
@@ -577,12 +565,19 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        # audit --scan-down reports a scan, not the table of checks
+        if args.format == "csv" and (not args.table or getattr(args, "scan_down", False)):
+            raise UsageError("csv format is not defined for this subcommand")
         result = args.handler(args)
         if isinstance(result, int):  # construct --size-only: a bare count
-            sys.stdout.write(f"{result}\n")
-            return 0
-        report, verdict, *csv_rows = result
-        _emit(args, report, *csv_rows)
+            payload, verdict = f"{result}\n", True
+        else:
+            report, verdict, *csv_rows = result
+            payload = _render(args, report, *csv_rows)
+        if args.out:
+            Path(args.out).write_text(payload)
+        else:
+            sys.stdout.write(payload)
     except (FamilyFormatError, UsageError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ desk scale.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .core import MATERIALIZATION_CAP, Params, SetFamily, ShapeError, binomial, mask_from_elements
@@ -148,22 +149,40 @@ def build_gap_set(params: Params, variant: str) -> int:
     return mask_from_elements([step * p for p in range(1, k + 1)])
 
 
+def _rational_binomial(x: Fraction | int, m: int) -> Fraction:
+    # C(x, m) by the falling factorial, valid for a rational upper argument
+    num, den = x.numerator, x.denominator
+    prod = 1
+    for i in range(m):
+        prod *= num - i * den
+    return Fraction(prod, den**m * math.factorial(m))
+
+
+def gap_bound(n: int, k: int, step: Fraction | int) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """The gap-set bound at a possibly rational step s'.
+
+    Returns (sum over p in [k] of C(s'p - 1, p) * C(n - s'p + 1, k - p),
+    consecutive term ratios term_{p+1}/term_p).  The binomials are
+    generalized, so the audit can evaluate them at s' = 3(s+1)/4 for any s.
+    """
+    terms = [
+        _rational_binomial(step * p - 1, p) * _rational_binomial(n - step * p + 1, k - p)
+        for p in range(1, k + 1)
+    ]
+    ratios = tuple(terms[p + 1] / terms[p] for p in range(len(terms) - 1) if terms[p] > 0)
+    return sum(terms), ratios
+
+
 def lemma3_bound(params: Params) -> tuple[int, tuple[Fraction, ...]]:
     """Closed-form member bound for families avoiding dominance over the dense gap set.
 
-    Returns (sum over p in [k] of C(s'p - 1, p) * C(n - s'p + 1, k - p),
-    consecutive term ratios term_{p+1}/term_p) — the ratios feed the audit
-    that each is at most e*k*s'/n.
+    Returns the gap_bound at the integral step s' = 3(s+1)/4: the member
+    bound as an integer and the consecutive term ratios, which the audit
+    checks are at most e*k*s'/n.
     """
     n, k, s = params.n, params.k, params.s
     step = _dense_step(s)
     if n <= k * step:
         raise ShapeError(f"lemma3_bound: need n > k*s' = {k * step}, got n={n}")
-    terms = [
-        binomial(step * p - 1, p) * binomial(n - step * p + 1, k - p)
-        for p in range(1, k + 1)
-    ]
-    ratios = tuple(
-        Fraction(terms[p + 1], terms[p]) for p in range(len(terms) - 1) if terms[p] > 0
-    )
-    return sum(terms), ratios
+    total, ratios = gap_bound(n, k, step)
+    return int(total), ratios

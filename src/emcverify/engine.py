@@ -27,6 +27,7 @@ from .core import (
     validate_family_tuple,
 )
 from .concentration import default_gamma, gamma_threshold
+from .constructions import gap_bound
 from .densities import beta_parameter, slice_partition
 from .matchings import Matching
 
@@ -38,7 +39,7 @@ def _integral(val) -> int:
 
 
 # Field type (as annotated) -> converter of a raw config value.
-_CONVERTERS = {"int": _integral, "float": float, "Fraction": Fraction}
+_CONVERTERS = {"int": _integral, "Fraction": Fraction}
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,10 @@ class ThresholdConfig:
     alpha cut (s+1)/6 + gamma, the W1 cut (s+1)/3, the W2 slice requirement
     s+1 at slice ceil((s+1)/3), beta-largeness above 1/(3(s+1)), and the
     eligibility ratio 3s+2.  Fractional thresholds are exact rationals; gamma
-    enters as the exact binary value of its double.
+    enters the small-alpha cut as the exact binary value of its double.
     """
 
     s: int
-    t: int
-    gamma: float
     u_target: int
     small_alpha_cut: Fraction
     w1_cut: Fraction
@@ -69,8 +68,6 @@ class ThresholdConfig:
             raise ShapeError(f"u_target={self.u_target} outside [0, {sp1}]")
         if not 1 <= self.third_slice <= sp1:
             raise ShapeError(f"third_slice={self.third_slice} outside [1, {sp1}]")
-        if not self.gamma >= 0:
-            raise ShapeError(f"gamma={self.gamma} must be >= 0")
 
     @classmethod
     def from_params(
@@ -80,14 +77,13 @@ class ThresholdConfig:
         gamma: float | None = None,
     ) -> "ThresholdConfig":
         s = params.s
-        t_val = params.t if t is None else t
         if gamma is None:
-            gamma = default_gamma(t_val, s)
+            gamma = default_gamma(params.t if t is None else t, s)
+        if not gamma >= 0:
+            raise ShapeError(f"gamma={gamma} must be >= 0")
         sp1 = s + 1
         return cls(
             s=s,
-            t=t_val,
-            gamma=gamma,
             u_target=(2 * sp1) // 3,
             small_alpha_cut=Fraction(sp1, 6) + Fraction(gamma),
             w1_cut=Fraction(sp1, 3),
@@ -464,14 +460,6 @@ class AuditReport:
         return tuple(c.name for c in self.checks if not c.passed)
 
 
-def _generalized_binomial(x: Fraction, m: int) -> Fraction:
-    # Falling-factorial form, valid for rational upper argument.
-    out = Fraction(1)
-    for i in range(m):
-        out *= x - i
-    return out / math.factorial(m)
-
-
 def audit_inequalities(
     s: int,
     k: int,
@@ -534,14 +522,7 @@ def audit_inequalities(
 
     if "gap-ratio" in selected:
         sprime = Fraction(3 * sp1, 4)
-        terms = [
-            _generalized_binomial(sprime * p - 1, p)
-            * _generalized_binomial(Fraction(n) - sprime * p + 1, k - p)
-            for p in range(1, k + 1)
-        ]
-        ratios = [
-            terms[p + 1] / terms[p] for p in range(len(terms) - 1) if terms[p] > 0
-        ]
+        _, ratios = gap_bound(n, k, sprime)
         worst = max(ratios) if ratios else Fraction(0)
         scale = k * sprime / n  # the bound is e * scale
         # worst <= e*scale is decided by the low end of e's bracket and

@@ -119,28 +119,36 @@ def find_rainbow(families: FamilyTuple) -> RainbowWitness:
     """Search for pairwise-disjoint representatives, one from each family.
 
     Backtracks over indices in ascending order of family size (fail-fast),
-    pruning with element masks.  complete=False means the tuple is
-    cross-dependent: no full system of disjoint representatives exists.
+    pruning with element masks, and tries each family's members in mask
+    order.  An explicit stack replaces recursion, so long tuples are safe.
+    complete=False means the tuple is cross-dependent: no full system of
+    disjoint representatives exists.
     """
     validate_family_tuple(families)
     order = sorted(range(len(families)), key=lambda i: len(families[i]))
-    chosen: dict[int, int] = {}
-
-    def extend(pos: int, used: int) -> bool:
-        if pos == len(order):
-            return True
-        idx = order[pos]
-        for m in families[idx].members:
+    lists = [families[i].members for i in order]
+    size = len(lists)
+    chosen: list[int] = []  # the member taken at each depth, in search order
+    used = 0
+    tries = [iter(lists[0])] if lists else []  # the members left to try at each depth
+    while tries:
+        for m in tries[-1]:
             if not m & used:
-                chosen[idx] = m
-                if extend(pos + 1, used | m):
-                    return True
-                del chosen[idx]
-        return False
-
-    ok = extend(0, 0)
-    assignment = tuple(chosen.get(i) for i in range(len(families)))
-    return RainbowWitness(assignment=assignment, complete=ok)
+                chosen.append(m)
+                used |= m
+                break
+        else:  # this depth is exhausted: undo the choice above it
+            tries.pop()
+            if chosen:
+                used ^= chosen.pop()
+            continue
+        if len(chosen) == size:
+            break
+        tries.append(iter(lists[len(chosen)]))
+    assignment: list[int | None] = [None] * len(families)
+    for i, m in zip(order, chosen):  # chosen is empty unless the search is complete
+        assignment[i] = m
+    return RainbowWitness(assignment=tuple(assignment), complete=len(chosen) == size)
 
 
 def hall_rainbow_in_matching(families: FamilyTuple, matching: Matching) -> RainbowWitness:
@@ -223,16 +231,11 @@ def sample_matching(params: Params, seed: int, t: int | None = None) -> Matching
     return SetFamily.from_masks(params.n, block, sample_ordered_blocks(params, [block] * t, seed))
 
 
-def sample_ordered_blocks(params: Params, sizes: list[int] | None = None, seed: int = 0) -> tuple[int, ...]:
-    """Ordered disjoint blocks of mixed sizes from X (order is significant).
+def sample_ordered_blocks(params: Params, sizes: list[int], seed: int = 0) -> tuple[int, ...]:
+    """Ordered disjoint blocks of the given sizes from X (order is significant).
 
-    Default sizes: one block of floor(2(n - s + k)/3) elements followed by s
-    blocks of size k - 1 — the shape used by the one-big-block demonstration.
     Returns masks in draw order, not canonicalized.
     """
-    n, k, s = params.n, params.k, params.s
-    if sizes is None:
-        sizes = [(2 * (n - s + k)) // 3] + [k - 1] * s
     if any(sz < 0 for sz in sizes):
         raise ShapeError("block sizes must be nonnegative")
     if sum(sizes) > params.n_prime:

@@ -43,6 +43,13 @@ class TestConstruct:
                     "--size-only"]) == 0
         assert capsys.readouterr().out == "5\n"
 
+    def test_size_only_writes_out_file(self, capsys, tmp_path):
+        target = tmp_path / "size.txt"
+        assert run(["construct", "--kind", "A", "--n", "6", "--k", "2", "--s", "1",
+                    "--size-only", "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_text() == "5\n"
+
     def test_report_fields(self, capsys):
         code, rep = run_json(capsys, ["construct", "--kind", "B", "--n", "6",
                                       "--k", "2", "--s", "1"])
@@ -89,11 +96,10 @@ class TestShiftShadowNu:
         assert code == 0
         assert rep["was_already_shifted"]
 
-    def test_shadow_depth_matches_direction_form(self, capsys, tmp_path):
+    def test_shadow_depth_one_is_the_default(self, capsys, tmp_path):
         src = fam_file(tmp_path / "f.txt", 5, 3, (1, 2, 3), (2, 3, 4))
         code_a, rep_a = run_json(capsys, ["shadow", "--in", src, "--depth", "1"])
-        code_b, rep_b = run_json(capsys, ["shadow", "--in", src, "--direction",
-                                          "lower", "--target-size", "2"])
+        code_b, rep_b = run_json(capsys, ["shadow", "--in", src])
         assert code_a == code_b == 0
         assert rep_a == rep_b
         assert rep_a["shadow_size"] == 5 and rep_a["verdict"]
@@ -162,6 +168,19 @@ class TestRainbow:
         code, rep = run_json(capsys, ["rainbow", "--in", a, b])
         assert code == 1
         assert not rep["complete"]
+
+    def test_long_tuple_without_recursion(self, capsys, tmp_path):
+        # one single-element family per element of [1200]: deeper than the recursion limit
+        paths = []
+        for e in range(1, 1201):
+            path = tmp_path / f"f{e}.txt"
+            path.write_text(f"1200 1\n{e}\n")
+            paths.append(str(path))
+        start = time.perf_counter()
+        code, rep = run_json(capsys, ["rainbow", "--in", *paths])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert rep["complete"] is True
 
 
 class TestFamilyFileErrors:
@@ -454,12 +473,12 @@ class TestProcedureCmd:
     def test_config_overrides(self, capsys, tuple_dir, tmp_path):
         d, matching = tuple_dir
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"u_target": 1, "gamma": 0.5}))
+        cfg.write_text(json.dumps({"u_target": 1, "small_alpha_cut": "1/2"}))
         code, rep = run_json(capsys, ["procedure", "--tuple", str(d),
                                       "--matching", matching, "--config", str(cfg)])
         assert code == 0
         assert rep["trace"]["config"]["u_target"] == 1
-        assert rep["trace"]["config"]["gamma"] == 0.5
+        assert rep["trace"]["config"]["small_alpha_cut"] == "1/2"
 
     def test_unknown_config_key(self, capsys, tuple_dir, tmp_path):
         d, matching = tuple_dir
@@ -505,6 +524,7 @@ class TestProcedureCmd:
     ["procedure", "--config", '{"third_slice": 0}'],
     ["procedure", "--config", '{"u_target": 3}'],
     ["procedure", "--config", '{"gamma": -1}'],
+    ["procedure", "--config", '{"t": 3}'],
     ["procedure", "--config", '{"one_set_rule": "bogus"}'],
     ["procedure", "--config", '{"s": 5}'],
     ["verify", "theorem3", "--n", "8", "--k", "2", "--s", "1", "--thresholds", "5"],
@@ -519,7 +539,7 @@ class TestProcedureCmd:
     ["procedure", "--config", '{"u_target": true}'],
 ], ids=["config-not-json", "config-bad-value", "beta-grid", "thresholds",
         "config-third-slice-high", "config-third-slice-zero", "config-u-target",
-        "config-gamma", "config-one-set-rule", "config-s", "thresholds-count", "depth-b",
+        "config-gamma", "config-t", "config-one-set-rule", "config-s", "thresholds-count", "depth-b",
         "max-size-zero", "theorem3-max-size-zero", "threshold-zero-division",
         "thresholds-unmeetable", "trials-zero", "trials-negative", "config-int-fraction",
         "config-int-bool"])
@@ -556,7 +576,7 @@ _INT_FIELDS = {k for k, f in ThresholdConfig.__dataclass_fields__.items() if f.t
 # drawn family file, "{m}" a drawn or a valid matching, "{c}" a drawn config
 _FUZZ_COMMANDS = {
     "nu": (["nu", "--in", "{f}"], [], []),
-    "shadow": (["shadow", "--in", "{f}"], [], ["--depth", "--upper", "--target-size"]),
+    "shadow": (["shadow", "--in", "{f}"], [], ["--depth", "--upper"]),
     "local-lym": (["verify", "local-lym", "--in", "{f}"], [], ["--ground"]),
     "bt": (["verify", "bt", "--in", "{f}"], [], ["--u"]),
     "lemma4": (["verify", "lemma4"], ["--n", "--k", "--s", "--trials"], ["--max-size"]),
@@ -572,6 +592,9 @@ _FUZZ_COMMANDS = {
     "emc": (["verify", "emc"], ["--n-max", "--k-max", "--s-max"], []),
     "rainbow-emc": (["verify", "rainbow-emc"], ["--n-max", "--k-max", "--s-max"], []),
 }
+# Commands whose report has a csv table, and commands that draw at random.
+_TABLE = {"audit", "concentration", "concentration-exact", "emc", "rainbow-emc"}
+_SEEDED = {"concentration", "concentration-exact", "lemma4", "sample-matching", "theorem3"}
 # Flags drawn from a narrower range than `_small`: the rainbow-EMC grid scans
 # every shifted tuple of a row, so --n-max 8 already takes seconds.
 _FLAG_VALUES = {("rainbow-emc", "--n-max"): st.integers(-2, 6)}
@@ -588,8 +611,9 @@ def fuzz_root(tmp_path_factory):
 def test_fuzzed_inputs_keep_exit_code_contract(fuzz_root, data):
     """Any family bytes, JSON family, config or small flag value ends in 0, 1 or 2.
 
-    A bad input exits 2 without a traceback; a verify run over no trials
-    and a config with a fractional or boolean integer are bad inputs.
+    A bad input exits 2 without a traceback; a verify run over no trials, a
+    config with a fractional or boolean integer, csv for a report without a
+    table and --seed on a command that draws nothing are bad inputs.
     """
     root, tuple_dir, valid_matching = fuzz_root
     name = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)), label="command")
@@ -607,6 +631,9 @@ def test_fuzzed_inputs_keep_exit_code_contract(fuzz_root, data):
     values = {f: _FLAG_VALUES.get((name, f), _small) for f in required + optional}
     flags = {f: data.draw(values[f], label=f) for f in required}
     flags.update({f: data.draw(values[f], label=f) for f in optional if data.draw(st.booleans())})
+    if data.draw(st.booleans(), label="seeded"):
+        flags["--seed"] = data.draw(_small, label="--seed")
+    flags["--format"] = data.draw(st.sampled_from(["json", "csv", "text"]), label="--format")
     for flag, value in flags.items():
         argv += [flag, str(value)]
     err = io.StringIO()
@@ -615,6 +642,10 @@ def test_fuzzed_inputs_keep_exit_code_contract(fuzz_root, data):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if flags.get("--trials", 1) < 1:
+        assert code == 2
+    if flags["--format"] == "csv" and name not in _TABLE:
+        assert code == 2
+    if "--seed" in flags and name not in _SEEDED:
         assert code == 2
     if name == "procedure" and any(
         isinstance(v, bool) or (isinstance(v, float) and not v.is_integer())
@@ -644,6 +675,13 @@ class TestHarness:
     def test_csv_undefined_for_subcommand(self, capsys, tmp_path):
         src = fam_file(tmp_path / "f.txt", 4, 2, (1, 2))
         assert run(["nu", "--in", src, "--format", "csv"]) == 2
+        assert "csv format is not defined" in capsys.readouterr().err
+
+    def test_csv_refused_before_the_work(self, capsys):
+        start = time.perf_counter()
+        assert run(["verify", "lemma4", "--n", "12", "--k", "2", "--s", "1",
+                    "--trials", "20000", "--format", "csv"]) == 2
+        assert time.perf_counter() - start < 1.0
         assert "csv format is not defined" in capsys.readouterr().err
 
     def test_out_writes_file_only(self, capsys, tmp_path):

@@ -42,15 +42,20 @@ class TestThresholdConfig:
     def test_gamma_defaults_to_threshold(self):
         p = Params(n=40, k=2, s=5)
         cfg = ThresholdConfig.from_params(p)
-        assert cfg.gamma == pytest.approx(10 * math.sqrt(p.t * math.log(5)))
+        gamma = 10 * math.sqrt(p.t * math.log(5))
+        assert cfg.small_alpha_cut == Fraction(p.s + 1, 6) + Fraction(gamma)
         tiny = ThresholdConfig.from_params(Params(n=8, k=2, s=1))
-        assert tiny.gamma == 0.0
+        assert tiny.small_alpha_cut == Fraction(2, 6) + Fraction(0.0)
+
+    def test_negative_gamma_refused(self):
+        with pytest.raises(ShapeError, match="gamma=-1 must be >= 0"):
+            ThresholdConfig.from_params(Params(n=8, k=2, s=1), gamma=-1)
 
     def test_with_overrides_converts_by_field_type(self):
         base = ThresholdConfig.from_params(Params(n=8, k=2, s=1))
-        cfg = base.with_overrides({"u_target": 1.0, "w2_need": "3", "w1_cut": "1/3", "gamma": 1})
-        assert (cfg.u_target, cfg.w2_need, cfg.w1_cut, cfg.gamma) == (1, 3, Fraction(1, 3), 1.0)
-        assert type(cfg.u_target) is int and type(cfg.gamma) is float
+        cfg = base.with_overrides({"u_target": 1.0, "w2_need": "3", "w1_cut": "1/3"})
+        assert (cfg.u_target, cfg.w2_need, cfg.w1_cut) == (1, 3, Fraction(1, 3))
+        assert type(cfg.u_target) is int
         for raw, message in [
             ({"u_target": 1.7}, "config key 'u_target': bad value 1.7"),
             ({"u_target": True}, "config key 'u_target': bad value True"),

@@ -334,9 +334,10 @@ class TestSampleMatching:
 class TestSampleOrderedBlocks:
     def test_default_shape(self):
         p = Params(n=20, k=3, s=1)
-        blocks = sample_ordered_blocks(p, seed=4)
+        shape = [(2 * (p.n - p.s + p.k)) // 3] + [p.k - 1] * p.s
+        blocks = sample_ordered_blocks(p, shape, seed=4)
         sizes = [b.bit_count() for b in blocks]
-        assert sizes == [(2 * (p.n - p.s + p.k)) // 3] + [p.k - 1] * p.s
+        assert sizes == shape
 
     def test_disjoint_inside_tail(self):
         p = Params(n=13, k=3, s=2)
