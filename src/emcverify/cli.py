@@ -75,6 +75,7 @@ from .transforms import (
 
 # Documented default seed; override with --seed.
 DEFAULT_SEED = 0x5EED
+MONTE_CARLO_TRIALS = 10_000
 
 
 class UsageError(ValueError):
@@ -135,7 +136,8 @@ def _render(args, report: dict, csv_rows=None) -> str:
 #
 # Each handler returns (report, verdict), or (report, verdict, csv_rows) when
 # its parser is marked table=True; construct --size-only returns a bare count.
-# run() writes the result and turns the verdict into the exit code.
+# run() writes the result and turns the verdict into the exit code.  An option
+# that one mode reads defaults to None, so the other mode can refuse it.
 
 
 def cmd_construct(args):
@@ -232,7 +234,8 @@ def cmd_rainbow(args):
 
 def cmd_sample_matching(args):
     params = Params(n=args.n, k=args.k, s=args.s)
-    m = sample_matching(params, args.seed, t=args.t)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    m = sample_matching(params, seed, t=args.t)
     if args.family_out:
         write_family(args.family_out, m)
     report = {
@@ -240,13 +243,15 @@ def cmd_sample_matching(args):
         "k": args.k,
         "s": args.s,
         "t": len(m),
-        "seed": args.seed,
+        "seed": seed,
         "blocks": [list(b) for b in m.as_sets()],
     }
     return report, True
 
 
 def cmd_concentration(args):
+    if args.exact and (args.seed, args.trials) != (None, None):
+        raise UsageError("--seed and --trials are not read with --exact")
     g = read_family(args.input)
     params = Params(n=args.n, k=args.k, s=args.s)
     if g.n != params.n:
@@ -273,8 +278,10 @@ def cmd_concentration(args):
         }
         rows = [["eta", "probability"]] + [[k_, str(v)] for k_, v in sorted(dist.items())]
         return report, verdict, rows
-    rep = monte_carlo_eta(g, params, trials=args.trials, seed=args.seed, t=args.t, beta_grid=grid)
-    report = {"mode": "monte-carlo", "seed": args.seed, "report": rep}
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    trials = MONTE_CARLO_TRIALS if args.trials is None else args.trials
+    rep = monte_carlo_eta(g, params, trials=trials, seed=seed, t=args.t, beta_grid=grid)
+    report = {"mode": "monte-carlo", "seed": seed, "report": rep}
     rows = [["eta", "count"]] + [[k_, v] for k_, v in sorted(rep.eta_histogram.items())]
     return report, True, rows
 
@@ -321,9 +328,11 @@ def cmd_procedure(args):
 
 def cmd_audit(args):
     checks = args.checks.split(",") if args.checks else None
+    pace = {k: v for k, v in (("factor", args.factor), ("floor_s", args.floor_s)) if v is not None}
     if args.scan_down:
-        result = audit_scan_down(args.s, args.k, checks=checks, factor=args.factor, floor_s=args.floor_s)
-        return result, True
+        return audit_scan_down(args.s, args.k, checks=checks, **pace), True
+    if pace:
+        raise UsageError("--factor and --floor-s are read only with --scan-down")
     report = audit_inequalities(args.s, args.k, checks=checks)
     rows = [["name", "passed", "lhs", "rhs"]] + [
         [c.name, c.passed, c.lhs, c.rhs] for c in report.checks
@@ -345,7 +354,8 @@ def _verify_trials(args, params: Params, statement: str, check, **condition):
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     cap = min(args.max_size, condition_count(params, **condition))
-    rng = random.Random(args.seed)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    rng = random.Random(seed)
     failures = []
     slacks = []
     for trial in range(args.trials):
@@ -362,7 +372,7 @@ def _verify_trials(args, params: Params, statement: str, check, **condition):
         "s": args.s,
         **condition,
         "trials": args.trials,
-        "seed": args.seed,
+        "seed": seed,
         "failures": failures,
         "min_slack": min(slacks),
         "all_ok": not failures,
@@ -471,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     nks = argparse.ArgumentParser(add_help=False)
     _required_ints(nks, "n", "k", "s")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_int_any_base, default=DEFAULT_SEED,
+    seeded.add_argument("--seed", type=_int_any_base, default=None,
                         help=f"RNG seed (default 0x{DEFAULT_SEED:X})")
     trials = argparse.ArgumentParser(add_help=False)
     trials.add_argument("--trials", type=int, default=100)
@@ -512,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="intersection-count distribution, exact or sampled")
     p.add_argument("--in", "--family", dest="input", required=True, help="block family file")
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"Monte Carlo trials (default {MONTE_CARLO_TRIALS})")
     p.add_argument("--beta-grid", default=None, help="comma-separated beta values")
     p.add_argument("--exact", action="store_true")
 
@@ -529,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default=None,
                    help=f"comma-separated subset of: {','.join(CHECK_NAMES)}")
     p.add_argument("--scan-down", action="store_true")
-    p.add_argument("--factor", type=int, default=2)
-    p.add_argument("--floor-s", type=int, default=2)
+    p.add_argument("--factor", type=int, default=None, help="scan-down divisor of s (default 2)")
+    p.add_argument("--floor-s", type=int, default=None, help="scan-down lowest s (default 2)")
 
     verify = sub.add_parser("verify", help="statement-level verifiers")
     vsub = verify.add_subparsers(dest="what")

@@ -10,7 +10,8 @@ The exact law counts matchings by eta with a dynamic program over the
 canonical recursion of `matchings.enumerate_matchings`, so it never lists the
 matchings; `beta_tails` then gives the exact tail mass for each beta.  Its
 guard refuses a shape before any work, from (n', k-1, t) alone.  Monte Carlo
-reads the same tails off a sampled histogram.
+reads the same tails off the histogram of one `matchings.matching_draws`
+stream per call, and the event probe counts on one such stream.
 
 Everything family-side stays in exact rationals; only the gamma threshold and
 the tail bounds use doubles (documented slack 1e-9).
@@ -21,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
-from .core import FamilyTuple, Params, SetFamily, ShapeError, binomial, validate_family_tuple
+from .core import FamilyTuple, Params, SetFamily, ShapeError, binomial
 from .densities import alpha_profile, slice_partition
-from .matchings import ENUMERATION_GUARD, matching_count, matching_shape, sample_matching
+from .matchings import ENUMERATION_GUARD, matching_count, matching_draws, matching_shape
 
 # The exact law refuses a shape only when it has more than ENUMERATION_GUARD
 # matchings (the most the enumerator ever answered for) and its work bound
@@ -254,11 +255,7 @@ def monte_carlo_eta(
     t: int | None = None,
     beta_grid: tuple[float, ...] | None = None,
 ) -> ConcentrationReport:
-    """Seeded sampling probe of the eta tail.
-
-    Per-trial seeds are seed + trial index, so a report is reproducible and
-    trivially mergeable across workers.
-    """
+    """Seeded sampling probe of the eta tail, over the first `trials` draws of one stream."""
     t_val = params.t if t is None else t
     if trials < 1:
         raise ShapeError("monte_carlo_eta: need at least one trial")
@@ -266,9 +263,8 @@ def monte_carlo_eta(
     betas = default_beta_grid(params.s) if beta_grid is None else tuple(beta_grid)
     members = set(g.members)
     hist: dict[int, int] = {}
-    for trial in range(trials):
-        m = sample_matching(params, seed + trial, t_val)
-        eta = sum(1 for b in m.members if b in members)
+    for blocks in islice(matching_draws(params, seed, t_val), trials):
+        eta = sum(b in members for b in blocks)
         hist[eta] = hist.get(eta, 0) + 1
     mean = Fraction(sum(eta * c for eta, c in hist.items()), trials)
     return ConcentrationReport(
@@ -307,38 +303,32 @@ def event_probe(
     gamma: float | None = None,
     t: int | None = None,
 ) -> tuple[Fraction, Fraction]:
-    """Empirical frequencies of the two good events over sampled matchings.
+    """Frequencies of the two good events over the first `trials` draws of one stream.
 
     E1: for every family i and slice j, |F_i(j) ∩ M| is within gamma of its
-    expectation alpha_{i,j} * t.  E2: some family's (s+1)-slice meets M.
+    expectation alpha_{i,j} * t, that is inside the exact integer range
+    [ceil(alpha_{i,j} t - gamma), floor(alpha_{i,j} t + gamma)].  E2: some
+    family's (s+1)-slice meets M.
     """
-    validate_family_tuple(families)
-    s = len(families) - 1
+    profile = alpha_profile(families)  # refuses a bad tuple or a tail too short
+    s = profile.s
     t_val = params.t if t is None else t
     if trials < 1:
         raise ShapeError("event_probe: need at least one trial")
-    if gamma is None:
-        gamma = default_gamma(t_val, s)
-    profile = alpha_profile(families)
-    # Slice member sets, indexed [i][j-1]; slices live inside X already.
-    slices = [[set(part.members) for part in slice_partition(fam, s)[1:]] for fam in families]
-    e1_hits = 0
-    e2_hits = 0
-    gamma_frac = Fraction(gamma)
-    for trial in range(trials):
-        m = sample_matching(params, seed + trial, t_val)
-        blocks = set(m.members)
-        ok_e1 = True
-        for i in range(s + 1):
-            for j in range(1, s + 2):
-                count = sum(1 for b in blocks if b in slices[i][j - 1])
-                if abs(Fraction(count) - profile.value(i + 1, j) * t_val) > gamma_frac:
-                    ok_e1 = False
-                    break
-            if not ok_e1:
-                break
-        if ok_e1:
-            e1_hits += 1
-        if any(blocks & slices[i][s] for i in range(s + 1)):
-            e2_hits += 1
+    slack = Fraction(default_gamma(t_val, s) if gamma is None else gamma)
+    ranges, slots = [], {}  # E1's range per (i, j) slot; block mask -> its slots
+    for i, fam in enumerate(families):
+        for j, part in enumerate(slice_partition(fam, s)[1:]):
+            center = profile.alpha[i][j] * t_val
+            for b in part.members:
+                slots.setdefault(b, []).append(len(ranges))
+            ranges.append((math.ceil(center - slack), math.floor(center + slack)))
+    e1_hits = e2_hits = 0
+    for blocks in islice(matching_draws(params, seed, t_val), trials):
+        counts = [0] * len(ranges)
+        for b in blocks:
+            for slot in slots.get(b, ()):
+                counts[slot] += 1
+        e1_hits += all(lo <= c <= hi for c, (lo, hi) in zip(counts, ranges))
+        e2_hits += any(counts[s :: s + 1])  # the (s+1)-slice of each family
     return Fraction(e1_hits, trials), Fraction(e2_hits, trials)

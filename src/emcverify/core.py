@@ -251,6 +251,30 @@ def _check_ground(n: int, where: str) -> None:
             f"{where}ground n={n} exceeds the cap {MATERIALIZATION_CAP}")
 
 
+def _member_mask(labels: list[int], n: int, k: int, seen: set[int], where: str, at: int) -> int:
+    """The mask of a family file's member: k labels, ascending, in [1, n], not in ``seen``.
+
+    The message is ``where.format(at)``, built only on failure, and the first
+    rule broken.  A label out of range sets no bit: it shows as a short popcount.
+    """
+    if len(labels) != k:
+        raise FamilyFormatError(where.format(at) + f"expected {k} elements, got {len(labels)}")
+    m = 0
+    prev = labels[0] - 1 if labels else 0
+    for v in labels:
+        if v <= prev:
+            raise FamilyFormatError(where.format(at) + "elements must be ascending")
+        prev = v
+        if 0 < v <= n:
+            m |= 1 << (v - 1)
+    if m.bit_count() != k:
+        raise FamilyFormatError(where.format(at) + f"element outside [1, {n}]")
+    if m in seen:
+        raise FamilyFormatError(where.format(at) + "duplicate member")
+    seen.add(m)
+    return m
+
+
 def parse_family_text(text: str) -> SetFamily:
     n = k = None
     masks = []
@@ -272,26 +296,7 @@ def parse_family_text(text: str) -> SetFamily:
                 raise FamilyFormatError(f"line {lineno}: bad header n={n} k={k}")
             _check_ground(n, f"line {lineno}: ")
             continue
-        if len(values) != k:
-            raise FamilyFormatError(
-                f"line {lineno}: expected {k} elements, got {len(values)}")
-        # One pass builds the mask and checks the order; an out-of-range
-        # label sets no bit, so it shows as a short popcount afterwards.  A
-        # line that breaks both rules reports the order.
-        m = 0
-        prev = values[0] - 1
-        for v in values:
-            if v <= prev:
-                raise FamilyFormatError(f"line {lineno}: elements must be ascending")
-            prev = v
-            if 0 < v <= n:
-                m |= 1 << (v - 1)
-        if m.bit_count() != k:
-            raise FamilyFormatError(f"line {lineno}: element outside [1, {n}]")
-        if m in seen:
-            raise FamilyFormatError(f"line {lineno}: duplicate member")
-        seen.add(m)
-        masks.append(m)
+        masks.append(_member_mask(values, n, k, seen, "line {}: ", lineno))
     if n is None:
         raise FamilyFormatError("line 1: missing 'n k' header")
     return SetFamily.from_masks(n, k, masks)
@@ -316,7 +321,8 @@ def family_from_json(obj: dict) -> SetFamily:
     if type(n) is not int or type(k) is not int or not isinstance(sets, list):
         raise FamilyFormatError("JSON family: 'n'/'k' must be ints, 'sets' a list")
     _check_ground(n, "JSON family: ")
-    for member in sets:
+    masks, seen = [], set()
+    for i, member in enumerate(sets):
         # type() rather than isinstance: a JSON true is not the label 1
         if not isinstance(member, list) or any(type(e) is not int for e in member):
             raise FamilyFormatError(
@@ -324,8 +330,9 @@ def family_from_json(obj: dict) -> SetFamily:
         for e in member:
             if not 1 <= e <= n:
                 raise FamilyFormatError(f"JSON family: label {e} outside [1, {n}]")
+        masks.append(_member_mask(member, n, k, seen, "JSON family: sets[{}]: ", i))
     try:
-        return SetFamily.from_sets(n, k, sets)
+        return SetFamily.from_masks(n, k, masks)
     except ShapeError as exc:
         raise FamilyFormatError(str(exc))
 

@@ -3,7 +3,7 @@
 A "matching" here is an unordered family of pairwise-disjoint (k-1)-sets
 living inside the tail segment X = [s+2, n].  Canonical form (each block a
 sorted set, blocks sorted as masks) makes sampler uniformity testable against
-the exhaustive enumerator.
+the exhaustive enumerator.  Every random matching comes from `matching_draws`.
 """
 
 from __future__ import annotations
@@ -219,40 +219,27 @@ def matching_count(params: Params, t: int | None = None) -> int:
     return total
 
 
-def sample_matching(params: Params, seed: int, t: int | None = None) -> Matching:
-    """Uniform random unordered t-matching inside X, deterministic per seed.
+def matching_draws(params: Params, seed: int, t: int | None = None):
+    """Endless uniform random t-matchings inside X, as lists of block masks.
 
-    A uniform permutation of X is chopped into t consecutive (k-1)-blocks and
-    canonicalized.  Every unordered matching is the image of exactly
-    t! * ((k-1)!)^t * (n' - t(k-1))! permutations, so the canonical forms are
-    equidistributed.
+    One ``random.Random(seed)`` shuffles one list of X's one-bit masks per
+    draw, and its first t(k-1) entries, chopped into (k-1)-blocks, are the
+    draw.  Every unordered matching is the image of exactly
+    t! * ((k-1)!)^t * (n' - t(k-1))! permutations, so each draw is uniform
+    whatever order the shuffle starts from.
     """
     t, block = matching_shape(params, t)
-    return SetFamily.from_masks(params.n, block, sample_ordered_blocks(params, [block] * t, seed))
+    pool = [1 << (e - 1) for e in params.x_elements()]
+    rng = random.Random(seed)
+    while True:
+        rng.shuffle(pool)
+        yield [sum(pool[i : i + block]) for i in range(0, t * block, block)]
 
 
-def sample_ordered_blocks(params: Params, sizes: list[int], seed: int = 0) -> tuple[int, ...]:
-    """Ordered disjoint blocks of the given sizes from X (order is significant).
-
-    Returns masks in draw order, not canonicalized.
-    """
-    if any(sz < 0 for sz in sizes):
-        raise ShapeError("block sizes must be nonnegative")
-    if sum(sizes) > params.n_prime:
-        raise ShapeError(
-            f"blocks of total size {sum(sizes)} do not fit in |X| = {params.n_prime}"
-        )
-    pool = list(params.x_elements())
-    random.Random(seed).shuffle(pool)
-    out = []
-    at = 0
-    for sz in sizes:
-        acc = 0
-        for e in pool[at : at + sz]:
-            acc |= 1 << (e - 1)
-        out.append(acc)
-        at += sz
-    return tuple(out)
+def sample_matching(params: Params, seed: int, t: int | None = None) -> Matching:
+    """Uniform random unordered t-matching inside X: the first of ``matching_draws``."""
+    blocks = next(matching_draws(params, seed, t))
+    return SetFamily.from_masks(params.n, params.k - 1, blocks)
 
 
 def enumerate_matchings(params: Params, t: int | None = None):

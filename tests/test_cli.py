@@ -210,6 +210,13 @@ class TestFamilyFileErrors:
         assert capsys.readouterr().err == (
             "error: line 1: ground n=1000000000000 exceeds the cap 50000000\n")
 
+    def test_json_member_rule(self, capsys, tmp_path):
+        # the text rule: labels ascend and no member repeats
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 4, "k": 2, "sets": [[1, 2], [2, 1], [3, 4]]}')
+        assert run(["nu", "--in", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: JSON family: sets[1]: elements must be ascending\n"
+
     def test_non_utf8_family(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"3 2\n1 2\n1 \xff\n")
@@ -301,6 +308,14 @@ class TestConcentrationCmd:
         err = capsys.readouterr().err
         assert err.startswith("error: exact eta law at n'=26, k=4, t=6")
         assert "work bound above" in err
+
+    @pytest.mark.parametrize("extra", [["--seed", "5"], ["--trials", "7"]])
+    def test_exact_refuses_sampling_options(self, capsys, tmp_path, extra):
+        # refused before the family file, which does not exist, is read
+        argv = ["concentration", "--in", str(tmp_path / "absent.txt"), "--n", "6", "--k", "2",
+                "--s", "1", "--exact", *extra]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: --seed and --trials are not read with --exact\n"
 
     def test_ground_mismatch(self, capsys, tmp_path):
         g = fam_file(tmp_path / "g.txt", 6, 1, (3,))
@@ -433,6 +448,14 @@ class TestAuditCmd:
                                       "--scan-down"])
         assert code == 0
         assert rep["first_failing_s"] == 1000000
+
+    @pytest.mark.parametrize("extra", [["--factor", "3"], ["--floor-s", "4"]])
+    def test_scan_options_only_with_scan_down(self, capsys, extra):
+        argv = ["audit", "--s", "2000000", "--k", "2", *extra]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --factor and --floor-s are read only with --scan-down\n")
+        assert run(argv + ["--scan-down"]) == 0
 
     def test_unknown_check_name(self, capsys):
         assert run(["audit", "--s", "100", "--k", "2", "--checks", "bogus"]) == 2
@@ -594,7 +617,7 @@ _FUZZ_COMMANDS = {
 }
 # Commands whose report has a csv table, and commands that draw at random.
 _TABLE = {"audit", "concentration", "concentration-exact", "emc", "rainbow-emc"}
-_SEEDED = {"concentration", "concentration-exact", "lemma4", "sample-matching", "theorem3"}
+_SEEDED = {"concentration", "lemma4", "sample-matching", "theorem3"}
 # Flags drawn from a narrower range than `_small`: the rainbow-EMC grid scans
 # every shifted tuple of a row, so --n-max 8 already takes seconds.
 _FLAG_VALUES = {("rainbow-emc", "--n-max"): st.integers(-2, 6)}
@@ -613,7 +636,8 @@ def test_fuzzed_inputs_keep_exit_code_contract(fuzz_root, data):
 
     A bad input exits 2 without a traceback; a verify run over no trials, a
     config with a fractional or boolean integer, csv for a report without a
-    table and --seed on a command that draws nothing are bad inputs.
+    table, --seed on a command or mode that draws nothing and --factor or
+    --floor-s without --scan-down are bad inputs.
     """
     root, tuple_dir, valid_matching = fuzz_root
     name = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)), label="command")
@@ -646,6 +670,8 @@ def test_fuzzed_inputs_keep_exit_code_contract(fuzz_root, data):
     if flags["--format"] == "csv" and name not in _TABLE:
         assert code == 2
     if "--seed" in flags and name not in _SEEDED:
+        assert code == 2
+    if name == "audit" and ("--factor" in flags or "--floor-s" in flags):
         assert code == 2
     if name == "procedure" and any(
         isinstance(v, bool) or (isinstance(v, float) and not v.is_integer())

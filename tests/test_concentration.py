@@ -11,6 +11,7 @@ from emcverify.concentration import (
     beta_tails,
     check_exact_work,
     default_beta_grid,
+    default_gamma,
     distribution_mean,
     event_probe,
     exact_eta_distribution,
@@ -21,7 +22,13 @@ from emcverify.concentration import (
     tail_bound,
 )
 from emcverify.core import Params, SetFamily, ShapeError, binomial, enumerate_ksets
-from emcverify.matchings import ENUMERATION_GUARD, enumerate_matchings, matching_count
+from emcverify.densities import slice_family
+from emcverify.matchings import (
+    ENUMERATION_GUARD,
+    enumerate_matchings,
+    matching_count,
+    matching_draws,
+)
 
 
 def block_layer(params: Params) -> SetFamily:
@@ -260,6 +267,28 @@ class TestBetaTails:
         assert rep.beta_grid == beta_tails(rep.eta_histogram, 300, center, rep.t, (0.25, 1.0))
 
 
+class TestTailInequality:
+    def test_exact_tails_within_the_bound(self):
+        # Frankl-Kupavskii: Pr[|eta - alpha*t| >= 2*beta*sqrt(t)] <= 2*exp(-beta^2/2),
+        # checked on the exact law for k in {2, 3, 4}, every t up to p.t, a
+        # star and a random G, and beta from 0.25 to 3
+        betas = tuple(x / 4 for x in range(1, 13))
+        rng = random.Random(29)
+        checks = 0
+        for n_prime, k in [(9, 2), (16, 2), (25, 2), (40, 2), (9, 3), (12, 3), (16, 3), (18, 3),
+                           (9, 4), (12, 4), (16, 4)]:
+            p = Params(n=n_prime + 3, k=k, s=2)
+            for g in (star_blocks(p), half_layer(p, rng)):
+                alpha = layer_density(g, p)
+                for t in range(1, p.t + 1):
+                    total = matching_count(p, t)
+                    hist = {eta: int(q * total) for eta, q in exact_eta_distribution(g, p, t).items()}
+                    for bt in beta_tails(hist, total, alpha * t, t, betas):
+                        assert bt.tail_freq <= bt.bound, (n_prime, k, t, bt)
+                        checks += 1
+        assert checks == 1704
+
+
 class TestTailBound:
     def test_values(self):
         assert tail_bound(0.0) == 2.0
@@ -274,8 +303,8 @@ class TestMonteCarlo:
         a = monte_carlo_eta(g, p, trials=500, seed=42)
         b = monte_carlo_eta(g, p, trials=500, seed=42)
         assert a == b
-        # trial seeds are seed+index, so nearby base seeds share most samples;
-        # some seed in a short scan must still move the histogram
+        # another seed starts another stream; some seed in a short scan must
+        # move the histogram
         assert any(
             monte_carlo_eta(g, p, trials=500, seed=s) != a for s in range(43, 53)
         )
@@ -382,3 +411,26 @@ class TestEventProbe:
         p = Params(n=5, k=3, s=2)
         f = SetFamily.from_sets(5, 3, [(1, 4, 5)])
         assert event_probe((f, f, f), p, 3, 1) == (1, 0)
+
+    @pytest.mark.parametrize("gamma", [None, 0, 0.75])
+    def test_matches_a_per_slice_recount(self, gamma):
+        # the same draws, recounted slice by slice against |count - alpha*t| <= gamma
+        p = Params(n=13, k=3, s=2)
+        rng = random.Random(17)
+        layer = list(enumerate_ksets(p.n, p.k))
+        fams = tuple(SetFamily.from_masks(p.n, p.k, [m for m in layer if rng.random() < 0.3])
+                     for _ in range(p.s + 1))
+        slices = [[set(slice_family(f, j, p.s).members) for j in range(1, p.s + 2)] for f in fams]
+        denom = binomial(p.n_prime, p.k - 1)
+        slack = Fraction(default_gamma(p.t, p.s) if gamma is None else gamma)
+        trials, seed = 300, 23
+        e1 = e2 = 0
+        for blocks in itertools.islice(matching_draws(p, seed), trials):
+            counts = [[sum(b in part for b in blocks) for part in row] for row in slices]
+            e1 += all(abs(c - Fraction(len(part), denom) * p.t) <= slack
+                      for row, crow in zip(slices, counts) for part, c in zip(row, crow))
+            e2 += any(crow[-1] for crow in counts)
+        got = event_probe(fams, p, trials, seed, gamma=gamma)
+        assert got == (Fraction(e1, trials), Fraction(e2, trials))
+        if gamma == 0.75:
+            assert 0 < e1 < trials and 0 < e2 < trials

@@ -364,6 +364,12 @@ class TestFamilyIO:
              "JSON family: label 1000000000000 outside [1, 3]"),
             ("f.json", b'{"n": 3, "k": 2, "sets": [[0, 1]]}',
              "JSON family: label 0 outside [1, 3]"),
+            ("f.json", b'{"n": 4, "k": 2, "sets": [[1, 2], [2, 1], [3, 4]]}',
+             "JSON family: sets[1]: elements must be ascending"),
+            ("f.json", b'{"n": 4, "k": 2, "sets": [[1, 2], [3, 4], [1, 2]]}',
+             "JSON family: sets[2]: duplicate member"),
+            ("f.json", b'{"n": 4, "k": 2, "sets": [[1, 2, 3]]}',
+             "JSON family: sets[0]: expected 2 elements, got 3"),
         ],
     )
     def test_read_family_malformed(self, tmp_path, name, data, message):

@@ -29,8 +29,8 @@ from emcverify.matchings import (
     hall_rainbow_in_matching,
     matching_count,
     matching_number,
+    matching_draws,
     sample_matching,
-    sample_ordered_blocks,
 )
 
 
@@ -277,6 +277,19 @@ class TestEnumerateMatchings:
         assert [m.members for m in enumerate_matchings(p, 0)] == [()]
 
 
+def assert_uniform_on_perfect_pairings(draws) -> None:
+    """15 perfect pairings of 6 points; every one within 5 sigma of 1/15."""
+    counts: dict[tuple, int] = {}
+    for m in draws:
+        counts[m] = counts.get(m, 0) + 1
+    trials = sum(counts.values())
+    assert len(counts) == 15
+    prob = 1 / 15
+    sigma = math.sqrt(prob * (1 - prob) / trials)
+    for c in counts.values():
+        assert abs(c / trials - prob) < 5 * sigma
+
+
 class TestSampleMatching:
     def test_deterministic(self):
         p = Params(n=10, k=3, s=1)
@@ -299,19 +312,34 @@ class TestSampleMatching:
         p = Params(n=11, k=3, s=2)
         assert len(sample_matching(p, seed=1, t=2)) == 2
 
+    @pytest.mark.parametrize(
+        "n, k, s, seed, t, blocks",
+        [
+            (20, 3, 2, 7, None, [(6, 7), (11, 13), (9, 15), (17, 18), (16, 19)]),
+            (12, 2, 1, 0, None, [(4,), (6,), (8,), (10,), (11,)]),
+            (17, 4, 1, 123456789, None, [(3, 4, 8), (6, 7, 16), (5, 15, 17)]),
+            (30, 3, 2, 5, 4, [(6, 14), (8, 16), (13, 17), (28, 30)]),
+        ],
+    )
+    def test_pinned_draws(self, n, k, s, seed, t, blocks):
+        # sample-matching prints these blocks; a sampler change must keep them
+        p = Params(n=n, k=k, s=s)
+        assert sample_matching(p, seed, t).as_sets() == blocks
+        assert sorted(next(matching_draws(p, seed, t))) == list(sample_matching(p, seed, t).members)
+
     def test_frequencies_on_perfect_partitions(self):
-        # 15 perfect pairings of 6 points; every one within 5 sigma of 1/15
         p = Params(n=8, k=3, s=1)
-        trials = 15000
-        counts: dict[tuple, int] = {}
-        for i in range(trials):
-            m = sample_matching(p, seed=i, t=3)
-            counts[m.members] = counts.get(m.members, 0) + 1
-        assert len(counts) == 15
-        prob = 1 / 15
-        sigma = math.sqrt(prob * (1 - prob) / trials)
-        for c in counts.values():
-            assert abs(c / trials - prob) < 5 * sigma
+        assert_uniform_on_perfect_pairings(sample_matching(p, seed=i, t=3).members
+                                           for i in range(15000))
+
+    def test_one_stream_on_perfect_partitions(self):
+        p = Params(n=8, k=3, s=1)
+        draws = itertools.islice(matching_draws(p, 0, t=3), 15000)
+        assert_uniform_on_perfect_pairings(tuple(sorted(d)) for d in draws)
+
+    def test_shape_refused_at_the_first_draw(self):
+        with pytest.raises(ShapeError, match="does not fit"):
+            next(matching_draws(Params(n=8, k=2, s=1), 0, t=7))
 
     def test_chi_square_uniformity(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -329,32 +357,3 @@ class TestSampleMatching:
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         cutoff = scipy_stats.chi2.ppf(1 - 1e-3, df=support - 1)
         assert chi2 < cutoff
-
-
-class TestSampleOrderedBlocks:
-    def test_default_shape(self):
-        p = Params(n=20, k=3, s=1)
-        shape = [(2 * (p.n - p.s + p.k)) // 3] + [p.k - 1] * p.s
-        blocks = sample_ordered_blocks(p, shape, seed=4)
-        sizes = [b.bit_count() for b in blocks]
-        assert sizes == shape
-
-    def test_disjoint_inside_tail(self):
-        p = Params(n=13, k=3, s=2)
-        blocks = sample_ordered_blocks(p, sizes=[3, 2, 2], seed=9)
-        acc = 0
-        for b in blocks:
-            assert not (b & ~p.x_mask)
-            assert not (acc & b)
-            acc |= b
-
-    def test_deterministic(self):
-        p = Params(n=13, k=3, s=2)
-        assert sample_ordered_blocks(p, sizes=[4, 2], seed=3) == sample_ordered_blocks(
-            p, sizes=[4, 2], seed=3
-        )
-
-    def test_oversized_rejected(self):
-        p = Params(n=8, k=2, s=1)
-        with pytest.raises(ShapeError):
-            sample_ordered_blocks(p, sizes=[7], seed=0)
