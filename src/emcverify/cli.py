@@ -13,27 +13,18 @@ import csv as csv_module
 import io
 import json
 import math
-import random
 import sys
 from dataclasses import is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import SPEC_VERSION
-from .concentration import (
-    beta_tails,
-    default_beta_grid,
-    distribution_mean,
-    exact_eta_distribution,
-    layer_density,
-    monte_carlo_eta,
-)
+from .concentration import exact_eta_report, monte_carlo_eta
 from .constructions import (
     build_extremal,
     build_gap_set,
-    classic_max_bounded_nu,
+    emc_grid,
     lemma3_bound,
-    rainbow_max_min_size,
     size_A_layered,
     size_extremal,
 )
@@ -47,15 +38,7 @@ from .core import (
     validate_family_tuple,
     write_family,
 )
-from .densities import (
-    check_theorem3_args,
-    condition_count,
-    default_thresholds,
-    local_lym_sides,
-    random_condition_family,
-    theorem3_slack,
-    verify_lemma4,
-)
+from .densities import check_theorem3_args, default_thresholds, local_lym_sides, sampled_slacks
 from .engine import (
     CHECK_NAMES,
     ThresholdConfig,
@@ -64,7 +47,7 @@ from .engine import (
     audit_inequalities,
     audit_scan_down,
 )
-from .matchings import find_rainbow, matching_count, matching_number, sample_matching
+from .matchings import find_rainbow, matching_number, sample_matching
 from .transforms import (
     bt_check,
     kk_min_shadow_size,
@@ -219,7 +202,6 @@ def cmd_nu(args):
 
 def cmd_rainbow(args):
     families = tuple(read_family(p) for p in args.inputs)
-    validate_family_tuple(families)
     witness = find_rainbow(families)
     report = {
         "families": len(families),
@@ -254,30 +236,11 @@ def cmd_concentration(args):
         raise UsageError("--seed and --trials are not read with --exact")
     g = read_family(args.input)
     params = Params(n=args.n, k=args.k, s=args.s)
-    if g.n != params.n:
-        raise UsageError(f"family ground [{g.n}] does not match --n {params.n}")
     grid = _number_list(args.beta_grid, float, "--beta-grid") if args.beta_grid else None
     if args.exact:
-        dist = exact_eta_distribution(g, params, t=args.t)
-        mean = distribution_mean(dist)
-        alpha = layer_density(g, params)
-        t_val = params.t if args.t is None else args.t
-        verdict = mean == alpha * t_val
-        total = matching_count(params, t_val)
-        matchings = {eta: int(p * total) for eta, p in dist.items()}
-        betas = default_beta_grid(params.s) if grid is None else grid
-        report = {
-            "mode": "exact",
-            "alpha": alpha,
-            "t": t_val,
-            "mean": mean,
-            "expected_mean": alpha * t_val,
-            "verdict": verdict,
-            "distribution": {str(k_): str(v) for k_, v in sorted(dist.items())},
-            "beta_grid": beta_tails(matchings, total, alpha * t_val, t_val, betas),
-        }
-        rows = [["eta", "probability"]] + [[k_, str(v)] for k_, v in sorted(dist.items())]
-        return report, verdict, rows
+        rep = exact_eta_report(g, params, t=args.t, beta_grid=grid)
+        rows = [["eta", "probability"]] + [[eta, str(p)] for eta, p in rep.distribution.items()]
+        return {"mode": "exact", **vars(rep)}, rep.verdict, rows
     seed = DEFAULT_SEED if args.seed is None else args.seed
     trials = MONTE_CARLO_TRIALS if args.trials is None else args.trials
     rep = monte_carlo_eta(g, params, trials=trials, seed=seed, t=args.t, beta_grid=grid)
@@ -343,91 +306,49 @@ def cmd_audit(args):
 # --- verify family ----------------------------------------------------------
 
 
-def _verify_trials(args, params: Params, statement: str, check, **condition):
-    """Run ``check`` on ``args.trials`` families drawn under ``condition``, which the report records.
-
-    ``check(fam)`` returns the exact slack and, for a false verdict, the
-    fields that describe the failure (None otherwise).
-    """
+def _draw_slacks(args, params: Params, b: int = 1, thresholds=None):
+    """The seed, beta and (size, depth-b slack) per trial of ``sampled_slacks``."""
     if args.max_size < 1:
         raise UsageError(f"--max-size must be at least 1, got {args.max_size}")
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    cap = min(args.max_size, condition_count(params, **condition))
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    rng = random.Random(seed)
-    failures = []
-    slacks = []
-    for trial in range(args.trials):
-        size = rng.randint(1, cap)
-        fam = random_condition_family(params, size, rng, **condition)
-        slack, failure = check(fam)
-        slacks.append(slack)
-        if failure is not None:
-            failures.append({"trial": trial, "size": size, **failure})
-    report = {
-        "statement": statement,
-        "n": args.n,
-        "k": args.k,
-        "s": args.s,
-        **condition,
-        "trials": args.trials,
-        "seed": seed,
-        "failures": failures,
-        "min_slack": min(slacks),
-        "all_ok": not failures,
-    }
+    return (seed, *sampled_slacks(params, args.trials, args.max_size, seed, b, thresholds))
+
+
+def _trials_report(args, statement: str, seed: int, slacks, failures, **condition):
+    report = {"statement": statement, "n": args.n, "k": args.k, "s": args.s, **condition,
+              "trials": args.trials, "seed": seed, "failures": failures,
+              "min_slack": min(slacks), "all_ok": not failures}
     return report, not failures
 
 
 def cmd_verify_lemma4(args):
-    params = Params(n=args.n, k=args.k, s=args.s)
-
-    def check(fam):
-        lhs, rhs, ok = verify_lemma4(fam, args.s)
-        return lhs - rhs, None if ok else {"lhs": lhs, "rhs": rhs}
-
-    return _verify_trials(args, params, "weighted shadow bound", check)
+    seed, beta, draws = _draw_slacks(args, Params(n=args.n, k=args.k, s=args.s))
+    slacks = [int(slack / beta) for _, slack in draws]  # (3s+2)|shadow| - |F|, beta = 1/(3s+2)
+    failures = [{"trial": i, "size": size, "lhs": size + slack, "rhs": size}
+                for i, ((size, _), slack) in enumerate(zip(draws, slacks)) if slack < 0]
+    return _trials_report(args, "weighted shadow bound", seed, slacks, failures)
 
 
 def cmd_verify_theorem3(args):
     params = Params(n=args.n, k=args.k, s=args.s)
-    b = args.b
-    if args.thresholds:
-        thresholds = _number_list(args.thresholds, int, "--thresholds")
-    else:
-        thresholds = tuple(default_thresholds(args.s, args.k, b))
-    check_theorem3_args(args.k, b, thresholds)
-
-    def check(fam):
-        beta, slack = theorem3_slack(fam, b, thresholds)
-        return slack, None if slack >= 0 else {"beta": str(beta)}
-
-    return _verify_trials(args, params, "depth-b shadow bound", check, b=b, thresholds=thresholds)
+    thresholds = (_number_list(args.thresholds, int, "--thresholds") if args.thresholds
+                  else tuple(default_thresholds(args.s, args.k, args.b)))
+    check_theorem3_args(args.k, args.b, thresholds)
+    seed, beta, draws = _draw_slacks(args, params, args.b, thresholds)
+    failures = [{"trial": i, "size": size, "beta": str(beta)}
+                for i, (size, slack) in enumerate(draws) if slack < 0]
+    return _trials_report(args, "depth-b shadow bound", seed, [slack for _, slack in draws],
+                          failures, b=args.b, thresholds=thresholds)
 
 
 def cmd_verify_emc(args):
-    search = rainbow_max_min_size if args.rainbow else classic_max_bounded_nu
-    rows = []
-    for k in range(1, args.k_max + 1):
-        for s in range(1, args.s_max + 1):
-            for n in range((s + 1) * k, args.n_max + 1):
-                params = Params(n=n, k=k, s=s)
-                row = {"n": n, "k": k, "s": s, "size_a": size_extremal(params, "A"),
-                       "size_b": size_extremal(params, "B")}
-                row["expected"] = max(row["size_a"], row["size_b"])
-                rows.append(row)
-                try:
-                    row["found"] = search(n, k, s)
-                except ShapeError as exc:
-                    row["skipped"] = str(exc)
-                    continue
-                row["verdict"] = row["found"] == row["expected"]
+    rows = emc_grid(args.n_max, args.k_max, args.s_max, args.rainbow)
     all_ok = all(row.get("verdict", True) for row in rows)
     report = {"mode": "rainbow" if args.rainbow else "classic", "rows": rows, "all_ok": all_ok}
     header = ["n", "k", "s", "size_a", "size_b", "expected", "found", "verdict"]
-    csv_rows = [header] + [[r.get(h, "") for h in header] for r in rows]
-    return report, all_ok, csv_rows
+    return report, all_ok, [header] + [[r.get(h, "") for h in header] for r in rows]
 
 
 def cmd_verify_local_lym(args):
@@ -595,8 +516,7 @@ def run(argv=None) -> int:
     return 0 if verdict else 1
 
 
-def main(argv=None) -> int:
-    return run(argv)
+main = run  # the console-script entry point
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ is sub-Gaussian: Pr[|eta - alpha*t| >= 2*beta*sqrt(t)] <= 2*exp(-beta^2/2).
 
 The exact law counts matchings by eta with a dynamic program over the
 canonical recursion of `matchings.enumerate_matchings`, so it never lists the
-matchings; `beta_tails` then gives the exact tail mass for each beta.  Its
-guard refuses a shape before any work, from (n', k-1, t) alone.  Monte Carlo
+matchings; `exact_eta_report` reads alpha*t, the mean and, through
+`beta_tails`, the exact tail mass for each beta off those counts.  Its guard
+refuses a shape before any work, from (n', k-1, t) alone.  Monte Carlo
 reads the same tails off the histogram of one `matchings.matching_draws`
 stream per call, and the event probe counts on one such stream.
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 
-from .core import FamilyTuple, Params, SetFamily, ShapeError, binomial
+from .core import FamilyTuple, Params, SetFamily, ShapeError, binomial, mask_bits
 from .densities import alpha_profile, slice_partition
 from .matchings import ENUMERATION_GUARD, matching_count, matching_draws, matching_shape
 
@@ -36,14 +37,15 @@ EXACT_WORK_CAP = 30_000_000
 
 
 def _check_block_family(g: SetFamily, params: Params) -> None:
+    if g.n != params.n:
+        raise ShapeError(f"block family ground [{g.n}] does not match n={params.n}")
     if g.k != params.k - 1:
         raise ShapeError(
             f"expected a ({params.k - 1})-uniform family of blocks, got {g.k}-uniform"
         )
     x_mask = params.x_mask
-    for m in g.members:
-        if m & ~x_mask:
-            raise ShapeError("block family must live inside X = [s+2, n]")
+    if any(m & ~x_mask for m in g.members):
+        raise ShapeError("block family must live inside X = [s+2, n]")
 
 
 def layer_density(g: SetFamily, params: Params) -> Fraction:
@@ -121,10 +123,9 @@ def check_exact_work(params: Params, t: int) -> None:
             )
 
 
-def exact_eta_distribution(
-    g: SetFamily, params: Params, t: int | None = None
-) -> dict[int, Fraction]:
-    """Exact law of eta = |G ∩ M| over a uniform t-matching M, increasing in eta.
+def _eta_counts(g: SetFamily, params: Params, t: int | None) -> tuple[int, dict[int, int], int]:
+    """t, the number of t-matchings M with |G ∩ M| = eta for each eta that
+    occurs, increasing in eta, and their total.
 
     Counts matchings by eta over the canonical recursion of
     `enumerate_matchings`: the smallest undecided element of X is left
@@ -135,8 +136,8 @@ def exact_eta_distribution(
     is expanded once, in increasing h, and carries the eta counts of the
     partial matchings that reach it, packed into one integer with `width`
     bits per value of eta (no count exceeds the total).  Only the states ahead
-    of h are held, and nothing recurses.  The counts are divided by
-    `matching_count` at the end.  `check_exact_work` refuses the shape first.
+    of h are held, and nothing recurses.  `check_exact_work` refuses the shape
+    first.
     """
     _check_block_family(g, params)
     t, block = matching_shape(params, t)
@@ -163,13 +164,7 @@ def exact_eta_distribution(
             moves = []
             if span - taken.bit_count() > need * block:
                 moves.append((taken | 1, need, counts))
-            others = []
-            if block > 1:
-                free = ((1 << span) - 2) & ~taken
-                while free:
-                    low = free & -free
-                    others.append(low)
-                    free ^= low
+            others = mask_bits(((1 << span) - 2) & ~taken) if block > 1 else ()
             for combo in combinations(others, block - 1):
                 blk = 1 + sum(combo)
                 packed = counts << width if (h, blk) in in_g else counts
@@ -183,9 +178,15 @@ def exact_eta_distribution(
                 key = (decided >> step, left)
                 bucket[key] = bucket.get(key, 0) + packed
     unit = (1 << width) - 1
-    counts = [(done >> (eta * width)) & unit for eta in range(t + 1)]
-    assert sum(counts) == total, "exact eta counts do not sum to the matching count"
-    return {eta: Fraction(c, total) for eta, c in enumerate(counts) if c}
+    counts = {eta: c for eta in range(t + 1) if (c := (done >> (eta * width)) & unit)}
+    assert sum(counts.values()) == total, "exact eta counts do not sum to the matching count"
+    return t, counts, total
+
+
+def exact_eta_distribution(g: SetFamily, params: Params, t: int | None = None) -> dict[int, Fraction]:
+    """Exact law of eta = |G ∩ M| over a uniform t-matching M, increasing in eta."""
+    _, counts, total = _eta_counts(g, params, t)
+    return {eta: Fraction(c, total) for eta, c in counts.items()}
 
 
 def distribution_mean(dist: dict[int, Fraction]) -> Fraction:
@@ -213,6 +214,17 @@ class ConcentrationReport:
     trials: int
     empirical_mean: Fraction
     eta_histogram: dict[int, int]
+    beta_grid: tuple[BetaTail, ...]
+
+
+@dataclass(frozen=True)
+class ExactEtaReport:
+    alpha: Fraction
+    t: int
+    mean: Fraction
+    expected_mean: Fraction  # alpha * t
+    verdict: bool  # mean == expected_mean
+    distribution: dict[int, Fraction]
     beta_grid: tuple[BetaTail, ...]
 
 
@@ -277,6 +289,20 @@ def monte_carlo_eta(
     )
 
 
+def exact_eta_report(
+    g: SetFamily, params: Params, t: int | None = None, beta_grid: tuple[float, ...] | None = None
+) -> ExactEtaReport:
+    """The exact twin of `monte_carlo_eta`: the law of eta, its mean against
+    alpha * t and its tail mass per beta, all from one count of the matchings."""
+    t, counts, total = _eta_counts(g, params, t)
+    alpha = layer_density(g, params)
+    betas = default_beta_grid(params.s) if beta_grid is None else tuple(beta_grid)
+    mean, center = Fraction(sum(eta * c for eta, c in counts.items()), total), alpha * t
+    law = {eta: Fraction(c, total) for eta, c in counts.items()}
+    return ExactEtaReport(alpha=alpha, t=t, mean=mean, expected_mean=center, verdict=mean == center,
+                          distribution=law, beta_grid=beta_tails(counts, total, center, t, betas))
+
+
 def gamma_threshold(t: int, s: int) -> float:
     """The concentration slack 10*sqrt(t * ln s) (natural logarithm).
 
@@ -312,6 +338,9 @@ def event_probe(
     """
     profile = alpha_profile(families)  # refuses a bad tuple or a tail too short
     s = profile.s
+    if (params.n, params.k, params.s) != (families[0].n, families[0].k, s):
+        raise ShapeError(f"event_probe: {params} does not match the tuple's "
+                         f"n={families[0].n}, k={families[0].k}, s={s}")
     t_val = params.t if t is None else t
     if trials < 1:
         raise ShapeError("event_probe: need at least one trial")

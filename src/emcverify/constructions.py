@@ -22,6 +22,10 @@ from .core import MATERIALIZATION_CAP, Params, SetFamily, ShapeError, binomial, 
 from .matchings import find_rainbow, matching_number
 from .transforms import enumerate_shifted_families
 
+# rainbow_max_min_size scans no more (s+1)-tuples than this: on a 2-vCPU VM
+# (8, 2, 2) has 357,760 and took 1.5 s, (9, 2, 2) 2.8e6 and took 16.7 s.
+RAINBOW_TUPLE_GUARD = 1_000_000
+
 
 def _require_kind(kind: str) -> str:
     if kind not in ("A", "B"):
@@ -59,9 +63,14 @@ def rainbow_max_min_size(n: int, k: int, s: int) -> int:
 
     Tuples are scanned as nondecreasing index sequences over the size-sorted
     shifted list; once the current family's size cannot beat the best min,
-    the whole branch is pruned (sizes only shrink down the list).
+    the whole branch is pruned (sizes only shrink down the list).  More than
+    RAINBOW_TUPLE_GUARD such sequences are refused before the scan.
     """
     fams = sorted(enumerate_shifted_families(n, k), key=len, reverse=True)
+    tuples = binomial(len(fams) + s, s + 1)
+    if tuples > RAINBOW_TUPLE_GUARD:
+        raise ShapeError(f"rainbow_max_min_size: {tuples} tuples of {len(fams)} shifted "
+                         f"families exceed guard {RAINBOW_TUPLE_GUARD}")
     best = 0
     chosen: list[SetFamily] = []
 
@@ -80,6 +89,27 @@ def rainbow_max_min_size(n: int, k: int, s: int) -> int:
 
     rec(0)
     return best
+
+
+def emc_grid(n_max: int, k_max: int, s_max: int, rainbow: bool = False) -> list[dict]:
+    """One row per (n, k, s), k <= k_max, s <= s_max, (s+1)k <= n <= n_max: the sizes
+    of A and B, the larger as expected, and the brute-force maximum (rainbow or
+    classic) as found with its verdict, or the guard's message as skipped."""
+    search = rainbow_max_min_size if rainbow else classic_max_bounded_nu
+    rows = []
+    for k, s in itertools.product(range(1, k_max + 1), range(1, s_max + 1)):
+        for n in range((s + 1) * k, n_max + 1):
+            params = Params(n=n, k=k, s=s)
+            a, b = size_extremal(params, "A"), size_extremal(params, "B")
+            row = {"n": n, "k": k, "s": s, "size_a": a, "size_b": b, "expected": max(a, b)}
+            rows.append(row)
+            try:
+                row["found"] = search(n, k, s)
+            except ShapeError as exc:
+                row["skipped"] = str(exc)
+            else:
+                row["verdict"] = row["found"] == row["expected"]
+    return rows
 
 
 def size_A_layered(params: Params) -> int:

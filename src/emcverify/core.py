@@ -255,7 +255,8 @@ def _member_mask(labels: list[int], n: int, k: int, seen: set[int], where: str, 
     """The mask of a family file's member: k labels, ascending, in [1, n], not in ``seen``.
 
     The message is ``where.format(at)``, built only on failure, and the first
-    rule broken.  A label out of range sets no bit: it shows as a short popcount.
+    rule broken.  A label out of range sets no bit: the short popcount shows it,
+    and only then is the first such label looked up for the message.
     """
     if len(labels) != k:
         raise FamilyFormatError(where.format(at) + f"expected {k} elements, got {len(labels)}")
@@ -268,7 +269,8 @@ def _member_mask(labels: list[int], n: int, k: int, seen: set[int], where: str, 
         if 0 < v <= n:
             m |= 1 << (v - 1)
     if m.bit_count() != k:
-        raise FamilyFormatError(where.format(at) + f"element outside [1, {n}]")
+        label = next(v for v in labels if not 0 < v <= n)
+        raise FamilyFormatError(where.format(at) + f"label {label} outside [1, {n}]")
     if m in seen:
         raise FamilyFormatError(where.format(at) + "duplicate member")
     seen.add(m)
@@ -327,9 +329,6 @@ def family_from_json(obj: dict) -> SetFamily:
         if not isinstance(member, list) or any(type(e) is not int for e in member):
             raise FamilyFormatError(
                 f"JSON family: member {member!r} is not a list of integer labels")
-        for e in member:
-            if not 1 <= e <= n:
-                raise FamilyFormatError(f"JSON family: label {e} outside [1, {n}]")
         masks.append(_member_mask(member, n, k, seen, "JSON family: sets[{}]: ", i))
     try:
         return SetFamily.from_masks(n, k, masks)

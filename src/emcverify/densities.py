@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -350,3 +351,22 @@ def random_condition_family(params: Params, size: int, rng, b: int = 1, threshol
     while len(chosen) < size:
         chosen.add(_draw_member(params, count, segments, rng))
     return SetFamily.from_masks(params.n, params.k, chosen)
+
+
+def sampled_slacks(params: Params, trials: int, max_size: int, seed: int, b: int = 1,
+                   thresholds=None) -> tuple[Fraction, list[tuple[int, Fraction]]]:
+    """beta and, per trial, the size and ``theorem3_slack`` of a family drawn by one
+    ``random.Random(seed)``: a size uniform in [1, min(max_size, condition_count)]
+    (max_size >= 1), then a ``random_condition_family`` of that size.  At b = 1
+    with the default cut-offs beta = 1/(3s+2), and slack / beta is the margin
+    (3s+2)|shadow| - |F| of ``verify_lemma4``."""
+    if thresholds is None:
+        thresholds = tuple(default_thresholds(params.s, params.k, b))
+    cap = min(max_size, condition_count(params, b, thresholds))
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(trials):
+        size = rng.randint(1, cap)
+        family = random_condition_family(params, size, rng, b, thresholds)
+        draws.append((size, theorem3_slack(family, b, thresholds)[1]))
+    return _theorem3_beta(params.k, b, thresholds), draws

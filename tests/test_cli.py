@@ -342,11 +342,79 @@ class TestVerifyGrids:
         assert by_key[(4, 2, 1)]["found"] == 3
         assert by_key[(5, 2, 1)]["found"] == 4
 
+    def test_rainbow_rows_past_the_tuple_guard_skipped(self, capsys):
+        start = time.perf_counter()
+        code, rep = run_json(capsys, ["verify", "rainbow-emc", "--n-max", "9", "--k-max", "2",
+                                      "--s-max", "3"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and rep["all_ok"]
+        skipped = {(r["n"], r["k"], r["s"]) for r in rep["rows"] if "skipped" in r}
+        assert skipped == {(9, 2, 2), (8, 2, 3), (9, 2, 3)}
+        assert all(r["verdict"] for r in rep["rows"] if "skipped" not in r)
+
     def test_emc_csv(self, capsys):
         assert run(["verify", "emc", "--n-max", "4", "--k-max", "2",
                     "--s-max", "1", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,k,s,size_a,size_b,expected,found,verdict"
+
+
+def _tails(*rows):
+    return [dict(zip(("beta", "bound", "tail_count", "tail_freq", "threshold"), r)) for r in rows]
+
+
+class TestPinnedReports:
+    """Whole reports of the commands whose logic lives in the library, byte for byte."""
+
+    def test_concentration_exact(self, capsys, tmp_path):
+        g = fam_file(tmp_path / "g.txt", 9, 2, (3, 4), (3, 5), (4, 6), (7, 9))
+        code, rep = run_json(capsys, ["concentration", "--in", g, "--n", "9", "--k", "3",
+                                      "--s", "1", "--exact"])
+        assert code == 0
+        assert rep == {
+            "alpha": "4/21",
+            "beta_grid": _tails((0.5, 1.764993805169191, 4, "4/105", 1.4142135623730951),
+                                (1.0, 1.2130613194252668, 0, "0", 2.8284271247461903),
+                                (2.0, 0.2706705664732254, 0, "0", 5.656854249492381),
+                                (3.0, 0.022217993076484612, 0, "0", 8.485281374238571)),
+            "distribution": {"0": "23/35", "1": "32/105", "2": "4/105"},
+            "expected_mean": "8/21",
+            "mean": "8/21",
+            "mode": "exact",
+            "spec_version": emcverify.SPEC_VERSION,
+            "t": 2,
+            "verdict": True,
+        }
+
+    @pytest.mark.parametrize("seed, min_slack", [(1, 18), (7, 26)])
+    def test_lemma4(self, capsys, seed, min_slack):
+        code, rep = run_json(capsys, ["verify", "lemma4", "--n", "10", "--k", "2", "--s", "1",
+                                      "--trials", "6", "--seed", str(seed)])
+        assert code == 0
+        assert rep == {"all_ok": True, "failures": [], "k": 2, "min_slack": min_slack, "n": 10,
+                       "s": 1, "seed": seed, "spec_version": emcverify.SPEC_VERSION,
+                       "statement": "weighted shadow bound", "trials": 6}
+
+    @pytest.mark.parametrize("seed, min_slack", [(1, "541/55"), (7, "328/55")])
+    def test_theorem3(self, capsys, seed, min_slack):
+        code, rep = run_json(capsys, ["verify", "theorem3", "--n", "11", "--k", "3", "--s", "1",
+                                      "--b", "2", "--trials", "4", "--seed", str(seed)])
+        assert code == 0
+        assert rep == {"all_ok": True, "b": 2, "failures": [], "k": 3, "min_slack": min_slack,
+                       "n": 11, "s": 1, "seed": seed, "spec_version": emcverify.SPEC_VERSION,
+                       "statement": "depth-b shadow bound", "thresholds": [11, 17], "trials": 4}
+
+    def test_emc_csv(self, capsys):
+        assert run(["verify", "emc", "--n-max", "8", "--k-max", "3", "--s-max", "2",
+                    "--format", "csv"]) == 0
+        rows = [(n, 1, s, s, s, s, s, True) for s in (1, 2) for n in range(s + 1, 9)]
+        rows += [(n, 2, 1, n - 1, 3, max(n - 1, 3), max(n - 1, 3), True) for n in range(4, 9)]
+        rows += [(6, 2, 2, 9, 10, 10, 10, True), (7, 2, 2, 11, 10, 11, 11, True),
+                 (8, 2, 2, 13, 10, 13, 13, True), (6, 3, 1, 10, 10, 10, 10, True),
+                 (7, 3, 1, 15, 10, 15, 15, True), (8, 3, 1, 21, 10, 21, "", "")]
+        lines = ["n,k,s,size_a,size_b,expected,found,verdict"]
+        lines += [",".join(map(str, row)) for row in rows]
+        assert capsys.readouterr().out == "\r\n".join(lines) + "\r\n"
 
 
 class TestVerifyStatements:

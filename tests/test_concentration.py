@@ -15,6 +15,7 @@ from emcverify.concentration import (
     distribution_mean,
     event_probe,
     exact_eta_distribution,
+    exact_eta_report,
     exact_work_bound,
     gamma_threshold,
     layer_density,
@@ -73,6 +74,11 @@ class TestLayerDensity:
             layer_density(SetFamily.from_sets(8, 3, [(3, 4, 5)]), p)
         with pytest.raises(ShapeError, match="inside X"):
             layer_density(SetFamily.from_sets(8, 2, [(1, 3)]), p)
+
+    def test_ground_must_match(self):
+        p = Params(n=9, k=3, s=1)
+        with pytest.raises(ShapeError, match=r"ground \[8\] does not match n=9"):
+            layer_density(SetFamily.from_sets(8, 2, [(3, 4)]), p)
 
 
 class TestExactDistribution:
@@ -267,6 +273,28 @@ class TestBetaTails:
         assert rep.beta_grid == beta_tails(rep.eta_histogram, 300, center, rep.t, (0.25, 1.0))
 
 
+class TestExactReport:
+    @pytest.mark.parametrize("n, k, s, t", [(9, 3, 1, None), (12, 3, 2, 2), (11, 2, 1, None),
+                                            (13, 4, 1, 2), (10, 2, 2, 0)])
+    def test_tails_equal_beta_tails_over_the_enumeration(self, n, k, s, t):
+        p = Params(n=n, k=k, s=s)
+        g = half_layer(p, random.Random(n * k + s))
+        hist: dict[int, int] = {}
+        for matching in enumerate_matchings(p, t):
+            eta = sum(b in g.members for b in matching.members)
+            hist[eta] = hist.get(eta, 0) + 1
+        total = sum(hist.values())
+        betas = (0.0, 0.25, 0.5, 1.0)
+        rep = exact_eta_report(g, p, t=t, beta_grid=betas)
+        center = layer_density(g, p) * rep.t
+        assert rep.t == (p.t if t is None else t) and rep.alpha == layer_density(g, p)
+        assert rep.distribution == {eta: Fraction(c, total) for eta, c in sorted(hist.items())}
+        assert rep.mean == rep.expected_mean == center and rep.verdict
+        assert rep.beta_grid == beta_tails(hist, total, center, rep.t, betas)
+        default = exact_eta_report(g, p, t=t).beta_grid
+        assert default == beta_tails(hist, total, center, rep.t, default_beta_grid(s))
+
+
 class TestTailInequality:
     def test_exact_tails_within_the_bound(self):
         # Frankl-Kupavskii: Pr[|eta - alpha*t| >= 2*beta*sqrt(t)] <= 2*exp(-beta^2/2),
@@ -411,6 +439,14 @@ class TestEventProbe:
         p = Params(n=5, k=3, s=2)
         f = SetFamily.from_sets(5, 3, [(1, 4, 5)])
         assert event_probe((f, f, f), p, 3, 1) == (1, 0)
+
+    @pytest.mark.parametrize("params", [Params(n=30, k=3, s=5), Params(n=12, k=4, s=2)])
+    def test_params_must_match_the_tuple(self, params, monkeypatch):
+        # three 3-uniform families on [12] make s = 2: refused before any draw
+        f = SetFamily.from_sets(12, 3, [(1, 5, 6), (2, 7, 8), (3, 9, 10)])
+        monkeypatch.setattr("emcverify.concentration.matching_draws", None)
+        with pytest.raises(ShapeError, match="does not match the tuple's n=12, k=3, s=2"):
+            event_probe((f, f, f), params, trials=50, seed=1)
 
     @pytest.mark.parametrize("gamma", [None, 0, 0.75])
     def test_matches_a_per_slice_recount(self, gamma):

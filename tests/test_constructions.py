@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from emcverify.constructions import (
     build_extremal,
     build_gap_set,
     lemma3_bound,
+    rainbow_max_min_size,
     size_A_layered,
     size_extremal,
 )
@@ -158,3 +160,19 @@ class TestCoverBound:
                     lhs = binomial(n - step - i - 1, k - 1) + binomial(n - step + i + 1, k - 1)
                     rhs = binomial(n - step - i, k - 1) + binomial(n - step + i, k - 1)
                     assert lhs >= rhs
+
+
+class TestRainbowGuard:
+    @pytest.mark.parametrize("n, k, s, tuples", [(9, 2, 2, 2_829_056), (8, 2, 3, 11_716_640)])
+    def test_refused_before_the_tuple_scan(self, n, k, s, tuples):
+        # C(F + s, s + 1) nondecreasing (s+1)-tuples of F shifted families; the
+        # scan over them took 16.7 s and 6.9 s
+        start = time.perf_counter()
+        with pytest.raises(ShapeError, match=f"{tuples} tuples of .* exceed guard 1000000"):
+            rainbow_max_min_size(n, k, s)
+        assert time.perf_counter() - start < 1.0
+
+    def test_rows_under_the_guard_still_decided(self):
+        # 32 shifted families on [6] give C(34, 3) = 5,984 tuples
+        assert rainbow_max_min_size(6, 2, 2) == max(size_extremal(Params(6, 2, 2), "A"),
+                                                    size_extremal(Params(6, 2, 2), "B")) == 10

@@ -300,9 +300,9 @@ class TestFamilyIO:
             ("6 2\n0 0\n", "line 2: elements must be ascending"),
             ("6 2\n7 1\n", "line 2: elements must be ascending"),
             ("6 3\n7 8 2\n", "line 2: elements must be ascending"),
-            ("6 2\n0 1\n", "line 2: element outside [1, 6]"),
-            ("6 2\n-1 3\n", "line 2: element outside [1, 6]"),
-            ("6 2\n5 7\n", "line 2: element outside [1, 6]"),
+            ("6 2\n0 1\n", "line 2: label 0 outside [1, 6]"),
+            ("6 2\n-1 3\n", "line 2: label -1 outside [1, 6]"),
+            ("6 2\n5 7\n", "line 2: label 7 outside [1, 6]"),
             ("6 2\n1 2\n1 2\n", "line 3: duplicate member"),
             ("# header next\n6 2\n1 2\n\n3 4  # ok\n2 1\n",
              "line 6: elements must be ascending"),
@@ -361,9 +361,9 @@ class TestFamilyIO:
             ("f.json", b'{"n": 1000000000000, "k": 1, "sets": [[1]]}',
              "JSON family: ground n=1000000000000 exceeds the cap 50000000"),
             ("f.json", b'{"n": 3, "k": 1, "sets": [[1000000000000]]}',
-             "JSON family: label 1000000000000 outside [1, 3]"),
+             "JSON family: sets[0]: label 1000000000000 outside [1, 3]"),
             ("f.json", b'{"n": 3, "k": 2, "sets": [[0, 1]]}',
-             "JSON family: label 0 outside [1, 3]"),
+             "JSON family: sets[0]: label 0 outside [1, 3]"),
             ("f.json", b'{"n": 4, "k": 2, "sets": [[1, 2], [2, 1], [3, 4]]}',
              "JSON family: sets[1]: elements must be ascending"),
             ("f.json", b'{"n": 4, "k": 2, "sets": [[1, 2], [3, 4], [1, 2]]}',

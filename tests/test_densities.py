@@ -29,6 +29,7 @@ from emcverify.densities import (
     local_lym_ratio,
     meets_thresholds,
     random_condition_family,
+    sampled_slacks,
     slice_family,
     slice_partition,
     theorem3_slack,
@@ -257,6 +258,30 @@ class TestLemma4:
                 f = random_condition_family(p, rng.randint(1, 25), rng)
                 lhs, rhs, ok = verify_lemma4(f, s)
                 assert ok and lhs >= rhs
+
+
+class TestSampledSlacks:
+    @pytest.mark.parametrize("n, k, s, seed", [(10, 2, 1, 1), (12, 3, 1, 7), (9, 2, 0, 3)])
+    def test_lemma4_slack_identity(self, n, k, s, seed):
+        # at b = 1 with the default cut-offs beta = 1/(3s+2), and each slack over
+        # beta is verify_lemma4's (3s+2)|shadow| - |F| on the same draws
+        p = Params(n=n, k=k, s=s)
+        beta, draws = sampled_slacks(p, 8, 30, seed)
+        assert beta == Fraction(1, 3 * s + 2) and len(draws) == 8
+        rng = random.Random(seed)
+        cap = min(30, condition_count(p))
+        for size, slack in draws:
+            lhs, rhs, ok = verify_lemma4(random_condition_family(p, rng.randint(1, cap), rng), s)
+            assert (size, slack / beta) == (rhs, lhs - rhs) and ok
+
+    def test_depth_b_draws(self):
+        p, b, thresholds = Params(n=11, k=3, s=1), 2, (11, 17)
+        beta, draws = sampled_slacks(p, 5, 20, 4, b, thresholds)
+        rng = random.Random(4)
+        cap = min(20, condition_count(p, b, thresholds))
+        for size, slack in draws:
+            f = random_condition_family(p, rng.randint(1, cap), rng, b, thresholds)
+            assert (size, beta, slack) == (len(f), *theorem3_slack(f, b, thresholds))
 
 
 class TestTheorem3:
