@@ -35,10 +35,9 @@ from .core import (
     elements_from_mask,
     family_to_json,
     read_family,
-    validate_family_tuple,
     write_family,
 )
-from .densities import check_theorem3_args, default_thresholds, local_lym_sides, sampled_slacks
+from .densities import default_thresholds, local_lym_sides, sampled_slacks
 from .engine import (
     CHECK_NAMES,
     ThresholdConfig,
@@ -268,7 +267,6 @@ def cmd_procedure(args):
     if not paths:
         raise UsageError(f"no family files (*.txt, *.json) in {args.tuple_dir}")
     families = tuple(read_family(str(p)) for p in paths)
-    validate_family_tuple(families)
     matching = read_family(args.matching)
     config = None  # the engine derives the default from the tuple and M
     if args.config is not None:
@@ -306,16 +304,6 @@ def cmd_audit(args):
 # --- verify family ----------------------------------------------------------
 
 
-def _draw_slacks(args, params: Params, b: int = 1, thresholds=None):
-    """The seed, beta and (size, depth-b slack) per trial of ``sampled_slacks``."""
-    if args.max_size < 1:
-        raise UsageError(f"--max-size must be at least 1, got {args.max_size}")
-    if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    return (seed, *sampled_slacks(params, args.trials, args.max_size, seed, b, thresholds))
-
-
 def _trials_report(args, statement: str, seed: int, slacks, failures, **condition):
     report = {"statement": statement, "n": args.n, "k": args.k, "s": args.s, **condition,
               "trials": args.trials, "seed": seed, "failures": failures,
@@ -324,7 +312,8 @@ def _trials_report(args, statement: str, seed: int, slacks, failures, **conditio
 
 
 def cmd_verify_lemma4(args):
-    seed, beta, draws = _draw_slacks(args, Params(n=args.n, k=args.k, s=args.s))
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    beta, draws = sampled_slacks(Params(n=args.n, k=args.k, s=args.s), args.trials, args.max_size, seed)
     slacks = [int(slack / beta) for _, slack in draws]  # (3s+2)|shadow| - |F|, beta = 1/(3s+2)
     failures = [{"trial": i, "size": size, "lhs": size + slack, "rhs": size}
                 for i, ((size, _), slack) in enumerate(zip(draws, slacks)) if slack < 0]
@@ -335,8 +324,8 @@ def cmd_verify_theorem3(args):
     params = Params(n=args.n, k=args.k, s=args.s)
     thresholds = (_number_list(args.thresholds, int, "--thresholds") if args.thresholds
                   else tuple(default_thresholds(args.s, args.k, args.b)))
-    check_theorem3_args(args.k, args.b, thresholds)
-    seed, beta, draws = _draw_slacks(args, params, args.b, thresholds)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    beta, draws = sampled_slacks(params, args.trials, args.max_size, seed, args.b, thresholds)
     failures = [{"trial": i, "size": size, "beta": str(beta)}
                 for i, (size, slack) in enumerate(draws) if slack < 0]
     return _trials_report(args, "depth-b shadow bound", seed, [slack for _, slack in draws],

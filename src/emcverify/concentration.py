@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 from .core import FamilyTuple, Params, SetFamily, ShapeError, binomial, mask_bits
-from .densities import alpha_profile, slice_partition
+from .densities import sliced_profile
 from .matchings import ENUMERATION_GUARD, matching_count, matching_draws, matching_shape
 
 # The exact law refuses a shape only when it has more than ENUMERATION_GUARD
@@ -295,7 +295,7 @@ def exact_eta_report(
     """The exact twin of `monte_carlo_eta`: the law of eta, its mean against
     alpha * t and its tail mass per beta, all from one count of the matchings."""
     t, counts, total = _eta_counts(g, params, t)
-    alpha = layer_density(g, params)
+    alpha = Fraction(len(g), binomial(params.n_prime, params.k - 1))  # _eta_counts checked G
     betas = default_beta_grid(params.s) if beta_grid is None else tuple(beta_grid)
     mean, center = Fraction(sum(eta * c for eta, c in counts.items()), total), alpha * t
     law = {eta: Fraction(c, total) for eta, c in counts.items()}
@@ -336,7 +336,7 @@ def event_probe(
     [ceil(alpha_{i,j} t - gamma), floor(alpha_{i,j} t + gamma)].  E2: some
     family's (s+1)-slice meets M.
     """
-    profile = alpha_profile(families)  # refuses a bad tuple or a tail too short
+    profile, partitions = sliced_profile(families)  # refuses a bad tuple or a tail too short
     s = profile.s
     if (params.n, params.k, params.s) != (families[0].n, families[0].k, s):
         raise ShapeError(f"event_probe: {params} does not match the tuple's "
@@ -346,8 +346,8 @@ def event_probe(
         raise ShapeError("event_probe: need at least one trial")
     slack = Fraction(default_gamma(t_val, s) if gamma is None else gamma)
     ranges, slots = [], {}  # E1's range per (i, j) slot; block mask -> its slots
-    for i, fam in enumerate(families):
-        for j, part in enumerate(slice_partition(fam, s)[1:]):
+    for i, parts in enumerate(partitions):
+        for j, part in enumerate(parts[1:]):
             center = profile.alpha[i][j] * t_val
             for b in part.members:
                 slots.setdefault(b, []).append(len(ranges))

@@ -18,7 +18,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import MATERIALIZATION_CAP, Params, SetFamily, ShapeError, binomial, mask_from_elements
+from .core import (MATERIALIZATION_CAP, Params, SetFamily, ShapeError, _derived_family, binomial,
+                   enumerate_ksets, interval_mask, mask_from_elements)
 from .matchings import find_rainbow, matching_number
 from .transforms import enumerate_shifted_families
 
@@ -134,18 +135,11 @@ def build_extremal(params: Params, kind: str) -> SetFamily:
             f"build_extremal: family has {size} members, cap is {MATERIALIZATION_CAP}"
         )
     if kind == "A":
-        members = [
-            mask_from_elements(combo)
-            for combo in itertools.combinations(range(1, n + 1), k)
-            if combo[0] <= s  # combos ascend, so meeting [s] means the minimum does
-        ]
+        prefix = interval_mask(1, s)
+        members = (m for m in enumerate_ksets(n, k) if m & prefix)
     else:
-        top = (s + 1) * k - 1
-        members = [
-            mask_from_elements(combo)
-            for combo in itertools.combinations(range(1, top + 1), k)
-        ]
-    return SetFamily.from_masks(n, k, members)
+        members = enumerate_ksets((s + 1) * k - 1, k)
+    return _derived_family(n, k, members)
 
 
 def _dense_step(s: int) -> int:

@@ -5,6 +5,11 @@ Conventions used everywhere:
   * a family stores its member masks sorted increasingly (mask order on
     k-sets of a common ground set coincides with colex order),
   * all sizes and counts are exact Python integers.
+
+Members are checked once, where they enter: ``SetFamily(...)``, ``from_masks``
+and ``from_sets`` check each member, the family-file parsers check theirs in
+``_member_mask``, and every family the library derives is built by
+``_derived_family``, which checks only the shape.
 """
 
 from __future__ import annotations
@@ -186,6 +191,13 @@ class SetFamily:
         return [elements_from_mask(m) for m in self.members]
 
 
+def _derived_family(n: int, k: int, masks: Iterable[int]) -> SetFamily:
+    """``SetFamily.from_masks`` for masks known to be k-subsets of [n]: only the shape is checked."""
+    fam = SetFamily(n, k, ())  # refuses a bad shape; no member to check yet
+    object.__setattr__(fam, "members", tuple(sorted(set(masks))))  # fam is not shared yet
+    return fam
+
+
 # A cross-dependence instance is an (s+1)-tuple of same-shape families.
 FamilyTuple = tuple[SetFamily, ...]
 
@@ -232,9 +244,7 @@ def lex_initial_family(n: int, k: int, m: int, order: str = "lex") -> SetFamily:
     total = binomial(n, k)
     if not 0 <= m <= total:
         raise ShapeError(f"family size {m} outside [0, C({n},{k})={total}]")
-    masks = tuple(islice(enumerate_ksets(n, k, order), m))
-    # both orders enumerate without repeats, so no dedup
-    return SetFamily(n=n, k=k, members=tuple(sorted(masks)))
+    return _derived_family(n, k, islice(enumerate_ksets(n, k, order), m))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +254,10 @@ def lex_initial_family(n: int, k: int, m: int, order: str = "lex") -> SetFamily:
 # ascending space-separated labels; '#' starts a comment.  JSON alternative:
 # {"n": ..., "k": ..., "sets": [[...], ...]}.
 
-def _check_ground(n: int, where: str) -> None:
-    # a ground of n elements makes n-bit masks, so it is capped like a family
+def _check_header(n: int, k: int, where: str) -> None:
+    # both formats: n >= k >= 0, and n-bit masks capped like a family
+    if k < 0 or n < k:
+        raise FamilyFormatError(f"{where}bad header n={n} k={k}")
     if n > MATERIALIZATION_CAP:
         raise FamilyFormatError(
             f"{where}ground n={n} exceeds the cap {MATERIALIZATION_CAP}")
@@ -294,14 +306,12 @@ def parse_family_text(text: str) -> SetFamily:
                 raise FamilyFormatError(
                     f"line {lineno}: header must be 'n k', got {raw!r}")
             n, k = values
-            if k < 0 or n < 0 or n < k:
-                raise FamilyFormatError(f"line {lineno}: bad header n={n} k={k}")
-            _check_ground(n, f"line {lineno}: ")
+            _check_header(n, k, f"line {lineno}: ")
             continue
         masks.append(_member_mask(values, n, k, seen, "line {}: ", lineno))
     if n is None:
         raise FamilyFormatError("line 1: missing 'n k' header")
-    return SetFamily.from_masks(n, k, masks)
+    return _derived_family(n, k, masks)
 
 
 def family_to_text(fam: SetFamily) -> str:
@@ -322,7 +332,7 @@ def family_from_json(obj: dict) -> SetFamily:
         raise FamilyFormatError("JSON family needs keys 'n', 'k', 'sets'")
     if type(n) is not int or type(k) is not int or not isinstance(sets, list):
         raise FamilyFormatError("JSON family: 'n'/'k' must be ints, 'sets' a list")
-    _check_ground(n, "JSON family: ")
+    _check_header(n, k, "JSON family: ")
     masks, seen = [], set()
     for i, member in enumerate(sets):
         # type() rather than isinstance: a JSON true is not the label 1
@@ -330,10 +340,7 @@ def family_from_json(obj: dict) -> SetFamily:
             raise FamilyFormatError(
                 f"JSON family: member {member!r} is not a list of integer labels")
         masks.append(_member_mask(member, n, k, seen, "JSON family: sets[{}]: ", i))
-    try:
-        return SetFamily.from_masks(n, k, masks)
-    except ShapeError as exc:
-        raise FamilyFormatError(str(exc))
+    return _derived_family(n, k, masks)
 
 
 def read_family(path: str) -> SetFamily:

@@ -21,6 +21,7 @@ from .core import (
     Params,
     SetFamily,
     ShapeError,
+    _derived_family,
     binomial,
     elements_from_mask,
     interval_mask,
@@ -52,9 +53,7 @@ def decompose(family: SetFamily, y_elements) -> dict[frozenset[int], SetFamily]:
     for m in family.members:
         trace = m & y_mask
         buckets[frozenset(elements_from_mask(trace))].append(m & ~y_mask)
-    return {
-        s: SetFamily.from_masks(n, k - len(s), masks) for s, masks in buckets.items()
-    }
+    return {s: _derived_family(n, k - len(s), masks) for s, masks in buckets.items()}
 
 
 def slice_partition(family: SetFamily, s: int) -> tuple[SetFamily, ...]:
@@ -71,7 +70,7 @@ def slice_partition(family: SetFamily, s: int) -> tuple[SetFamily, ...]:
             buckets[trace.bit_length()].append(m ^ trace)
     n, k = family.n, family.k
     return tuple(
-        SetFamily.from_masks(n, k - (j > 0), masks) for j, masks in enumerate(buckets)
+        _derived_family(n, k - (j > 0), masks) for j, masks in enumerate(buckets)
     )
 
 
@@ -95,8 +94,8 @@ class DensityProfile:
         return self.alpha[i - 1][j - 1]
 
 
-def alpha_profile(families: FamilyTuple) -> DensityProfile:
-    """Exact slice densities of a tuple of s+1 families over the tail X."""
+def sliced_profile(families: FamilyTuple) -> tuple[DensityProfile, list[tuple[SetFamily, ...]]]:
+    """``alpha_profile`` and the ``slice_partition`` of each family, sliced once."""
     validate_family_tuple(families)
     s = len(families) - 1
     n, k = families[0].n, families[0].k
@@ -105,13 +104,16 @@ def alpha_profile(families: FamilyTuple) -> DensityProfile:
         raise ShapeError(f"alpha_profile: tail of size {n_prime} cannot host (k-1)-sets")
     denom_slice = binomial(n_prime, k - 1)
     denom_empty = binomial(n_prime, k)
-    rows = []
-    empties = []
-    for fam in families:
-        parts = slice_partition(fam, s)
-        rows.append(tuple(Fraction(len(part), denom_slice) for part in parts[1:]))
-        empties.append(Fraction(len(parts[0]), denom_empty) if denom_empty else Fraction(0))
-    return DensityProfile(s=s, n_prime=n_prime, alpha=tuple(rows), alpha_empty=tuple(empties))
+    partitions = [slice_partition(fam, s) for fam in families]
+    rows = tuple(tuple(Fraction(len(p), denom_slice) for p in parts[1:]) for parts in partitions)
+    # F(∅) lives in the tail, so it is empty when C(n', k) = 0
+    empties = tuple(Fraction(len(parts[0]), denom_empty or 1) for parts in partitions)
+    return DensityProfile(s=s, n_prime=n_prime, alpha=rows, alpha_empty=empties), partitions
+
+
+def alpha_profile(families: FamilyTuple) -> DensityProfile:
+    """Exact slice densities of a tuple of s+1 families over the tail X."""
+    return sliced_profile(families)[0]
 
 
 @dataclass(frozen=True)
@@ -196,12 +198,16 @@ def verify_lemma4(family: SetFamily, s: int) -> tuple[int, int, bool]:
     return lhs, rhs, lhs >= rhs
 
 
-def check_theorem3_args(k: int, b: int, thresholds: tuple[int, ...]) -> None:
-    """Reject a depth b outside [0, k], thresholds other than k - b + 1
-    increasing values, or a threshold alpha_i below its index i.
+@lru_cache(maxsize=8)
+def _theorem3_beta(k: int, b: int, thresholds: tuple[int, ...]) -> Fraction:
+    """beta = min_i C(alpha_i, i - b) / C(alpha_i, i), once per shape: each ratio
+    is i! / (i - b)! over (alpha_i - i + b)! / (alpha_i - i)!, two products of b
+    factors rather than two binomials of alpha_i.
 
-    No set meets |A ∩ [alpha_i]| >= i when alpha_i < i, and C(alpha_i, i) = 0
-    would leave beta undefined.
+    Refuses a depth b outside [0, k], thresholds other than k - b + 1
+    increasing values, or a threshold alpha_i below its index i: no set meets
+    |A ∩ [alpha_i]| >= i when alpha_i < i, and C(alpha_i, i) = 0 would leave
+    beta undefined.
     """
     if not (0 <= b <= k):
         raise ShapeError(f"verify_theorem3: depth b={b} outside [0, {k}]")
@@ -218,14 +224,6 @@ def check_theorem3_args(k: int, b: int, thresholds: tuple[int, ...]) -> None:
                 f"verify_theorem3: threshold alpha_{i}={alpha} is below {i}, "
                 f"so no member can meet it"
             )
-
-
-@lru_cache(maxsize=8)
-def _theorem3_beta(k: int, b: int, thresholds: tuple[int, ...]) -> Fraction:
-    """beta = min_i C(alpha_i, i - b) / C(alpha_i, i) of checked arguments, once
-    per shape: each ratio is i! / (i - b)! over (alpha_i - i + b)! / (alpha_i - i)!,
-    two products of b factors rather than two binomials of alpha_i."""
-    check_theorem3_args(k, b, thresholds)
     return min(
         Fraction(math.perm(i, b), math.perm(alpha - i + b, b))
         for i, alpha in enumerate(thresholds, start=b)
@@ -350,18 +348,23 @@ def random_condition_family(params: Params, size: int, rng, b: int = 1, threshol
     chosen: set[int] = set()
     while len(chosen) < size:
         chosen.add(_draw_member(params, count, segments, rng))
-    return SetFamily.from_masks(params.n, params.k, chosen)
+    return _derived_family(params.n, params.k, chosen)
 
 
 def sampled_slacks(params: Params, trials: int, max_size: int, seed: int, b: int = 1,
                    thresholds=None) -> tuple[Fraction, list[tuple[int, Fraction]]]:
     """beta and, per trial, the size and ``theorem3_slack`` of a family drawn by one
     ``random.Random(seed)``: a size uniform in [1, min(max_size, condition_count)]
-    (max_size >= 1), then a ``random_condition_family`` of that size.  At b = 1
-    with the default cut-offs beta = 1/(3s+2), and slack / beta is the margin
-    (3s+2)|shadow| - |F| of ``verify_lemma4``."""
+    then a ``random_condition_family`` of that size.  At b = 1 with the default
+    cut-offs beta = 1/(3s+2), and slack / beta is the margin (3s+2)|shadow| - |F|
+    of ``verify_lemma4``.  Bad (b, thresholds), then max_size or trials below 1,
+    are refused before the first draw."""
     if thresholds is None:
         thresholds = tuple(default_thresholds(params.s, params.k, b))
+    beta = _theorem3_beta(params.k, b, thresholds)
+    if min(max_size, trials) < 1:
+        raise ShapeError("sampled_slacks: need max_size >= 1 and trials >= 1, "
+                         f"got max_size={max_size}, trials={trials}")
     cap = min(max_size, condition_count(params, b, thresholds))
     rng = random.Random(seed)
     draws = []
@@ -369,4 +372,4 @@ def sampled_slacks(params: Params, trials: int, max_size: int, seed: int, b: int
         size = rng.randint(1, cap)
         family = random_condition_family(params, size, rng, b, thresholds)
         draws.append((size, theorem3_slack(family, b, thresholds)[1]))
-    return _theorem3_beta(params.k, b, thresholds), draws
+    return beta, draws

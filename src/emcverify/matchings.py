@@ -12,7 +12,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .core import FamilyTuple, Params, SetFamily, ShapeError, binomial, validate_family_tuple
+from .core import (FamilyTuple, Params, SetFamily, ShapeError, _derived_family, binomial,
+                   mask_bits, validate_family_tuple)
 
 # A matching is serialized and passed around as a plain family of blocks.
 Matching = SetFamily
@@ -33,8 +34,9 @@ def matching_number(family: SetFamily) -> int:
     unused heads from here on): members are tried before the skip branch,
     and a node stops once it reaches this cap.
 
-    An explicit stack replaces recursion, so deep families are safe.  Set-up
-    is O(|F|) big-integer operations and builds nothing per element of [n].
+    An explicit stack replaces recursion, so deep families are safe.  A top
+    label above k|F| has the covered elements relabeled 1..c in order, which
+    keeps disjointness and mask order, so no mask is wider than k|F| bits.
     """
     k = family.k
     if k == 0:
@@ -42,6 +44,11 @@ def matching_number(family: SetFamily) -> int:
     members = family.members
     if not members:
         return 0
+    if members[-1].bit_length() > k * len(members):  # the last mask holds the top label
+        bits = [mask_bits(m) for m in members]
+        covered = sorted({b.bit_length() for mb in bits for b in mb})
+        rank = {e: 1 << i for i, e in enumerate(covered)}
+        members = [sum(rank[b.bit_length()] for b in mb) for mb in bits]
     groups: dict[int, list[int]] = {}
     for m in members:
         groups.setdefault(m & -m, []).append(m)
@@ -239,7 +246,7 @@ def matching_draws(params: Params, seed: int, t: int | None = None):
 def sample_matching(params: Params, seed: int, t: int | None = None) -> Matching:
     """Uniform random unordered t-matching inside X: the first of ``matching_draws``."""
     blocks = next(matching_draws(params, seed, t))
-    return SetFamily.from_masks(params.n, params.k - 1, blocks)
+    return _derived_family(params.n, params.k - 1, blocks)
 
 
 def enumerate_matchings(params: Params, t: int | None = None):
@@ -262,7 +269,7 @@ def enumerate_matchings(params: Params, t: int | None = None):
     block = params.k - 1
     n = params.n
     if t == 0:
-        yield SetFamily.from_masks(n, block, [])
+        yield _derived_family(n, block, [])
         return
     bits = [1 << (e - 1) for e in params.x_elements()]
     taken = [False] * len(bits)
@@ -296,6 +303,6 @@ def enumerate_matchings(params: Params, t: int | None = None):
             mask |= bits[p]
         chosen.append((mask, positions))
         if len(chosen) == t:
-            yield SetFamily.from_masks(n, block, [m for m, _ in chosen])
+            yield _derived_family(n, block, [m for m, _ in chosen])
         else:
             stack.append(options(head + 1, t - len(chosen)))

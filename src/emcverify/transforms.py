@@ -16,6 +16,7 @@ from .core import (
     MATERIALIZATION_CAP,
     SetFamily,
     ShapeError,
+    _derived_family,
     binomial,
     enumerate_ksets,
     mask_bits,
@@ -48,7 +49,7 @@ def shift_ij(family: SetFamily, i: int, j: int) -> SetFamily:
         raise ShapeError(f"shift_ij: need 1 <= i < j <= n, got i={i}, j={j}, n={family.n}")
     present = set(family.members)
     _compress(present, 1 << (i - 1), 1 << (j - 1))
-    return SetFamily.from_masks(family.n, family.k, present)
+    return _derived_family(family.n, family.k, present)
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def shift_closure(family: SetFamily) -> ShiftReport:
         moved = sum(_compress(present, bi, bj) for bi, bj in pairs)
         applied += moved
         if moved == 0:
-            result = SetFamily.from_masks(family.n, family.k, present)
+            result = _derived_family(family.n, family.k, present)
             return ShiftReport(rounds=rounds, applied=applied, result=result)
 
 
@@ -132,7 +133,7 @@ def lower_shadow(family: SetFamily, b: int) -> SetFamily:
             cur = _drop_one(cur)
     else:
         cur = {sum(c) for m in family.members for c in combinations(mask_bits(m), t)}
-    return SetFamily.from_masks(family.n, t, cur)
+    return _derived_family(family.n, t, cur)
 
 
 def upper_shadow(family: SetFamily, u: int) -> SetFamily:
@@ -164,7 +165,7 @@ def upper_shadow(family: SetFamily, u: int) -> SetFamily:
         cur = {
             m | sum(c) for m in family.members for c in combinations(mask_bits(full ^ m), grow)
         }
-    return SetFamily.from_masks(family.n, u, cur)
+    return _derived_family(family.n, u, cur)
 
 
 def _largest_top(rest: int, i: int) -> int:
@@ -291,12 +292,9 @@ def enumerate_shifted_families(n: int, k: int):
     chosen: list[bool] = [False] * layer_size
     out: list[int] = []
 
-    def emit() -> SetFamily:
-        return SetFamily(n=n, k=k, members=tuple(sorted(out)))
-
     def walk(pos: int):
         if pos == len(order):
-            yield emit()
+            yield _derived_family(n, k, out)
             return
         # Exclude order[pos]: every later set dominating it is then also
         # excluded, which the predecessor check enforces for free.

@@ -210,6 +210,17 @@ class TestFamilyFileErrors:
         assert capsys.readouterr().err == (
             "error: line 1: ground n=1000000000000 exceeds the cap 50000000\n")
 
+    @pytest.mark.parametrize("header", [(2, 3), (-1, 0), (4, -1)])
+    def test_one_header_rule_for_both_formats(self, capsys, tmp_path, header):
+        n, k = header
+        text, blob = tmp_path / "bad.txt", tmp_path / "bad.json"
+        text.write_text(f"{n} {k}\n")
+        blob.write_text(json.dumps({"n": n, "k": k, "sets": []}))
+        assert run(["nu", "--in", str(text)]) == 2
+        assert capsys.readouterr().err == f"error: line 1: bad header n={n} k={k}\n"
+        assert run(["nu", "--in", str(blob)]) == 2
+        assert capsys.readouterr().err == f"error: JSON family: bad header n={n} k={k}\n"
+
     def test_json_member_rule(self, capsys, tmp_path):
         # the text rule: labels ascend and no member repeats
         bad = tmp_path / "bad.json"
@@ -463,6 +474,14 @@ class TestVerifyStatements:
         assert code == 0
         assert rep["all_ok"] and rep["min_slack"] == "0"  # |shadow_5({1..5})| = 1 = |F|
 
+    def test_theorem3_bad_thresholds_refused_before_any_draw(self, capsys):
+        start = time.perf_counter()
+        assert run(["verify", "theorem3", "--n", "12", "--k", "3", "--s", "1",
+                    "--thresholds", "5,4,9", "--trials", "20000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: verify_theorem3: thresholds must be strictly increasing\n")
+
     def test_theorem3_explicit_thresholds(self, capsys):
         code, rep = run_json(capsys, ["verify", "theorem3", "--n", "8", "--k", "2",
                                       "--s", "1", "--b", "1", "--thresholds", "3,8",
@@ -710,9 +729,12 @@ def test_fuzzed_inputs_keep_exit_code_contract(fuzz_root, data):
     root, tuple_dir, valid_matching = fuzz_root
     name = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)), label="command")
     argv, required, optional = _FUZZ_COMMANDS[name]
+    bad_header = False
     if data.draw(st.booleans(), label="json"):
         family = root / "f.json"
-        family.write_text(json.dumps(data.draw(_json_family, label="family")))
+        obj = data.draw(_json_family, label="family")
+        family.write_text(json.dumps(obj))
+        bad_header = type(obj["n"]) is int and type(obj["k"]) is int and obj["n"] < obj["k"]
     else:
         family = root / "f.txt"
         family.write_bytes(data.draw(_family_bytes, label="family"))
@@ -733,6 +755,8 @@ def test_fuzzed_inputs_keep_exit_code_contract(fuzz_root, data):
         code = run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if bad_header and str(family) in argv:  # the command reads the drawn family
+        assert code == 2
     if flags.get("--trials", 1) < 1:
         assert code == 2
     if flags["--format"] == "csv" and name not in _TABLE:

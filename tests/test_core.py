@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import random
 import time
 from fractions import Fraction
 from itertools import islice
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_family
+from emcverify.constructions import build_extremal
 from emcverify.core import (
     FamilyFormatError,
     Params,
@@ -29,6 +32,15 @@ from emcverify.core import (
     scaled_params,
     validate_family_tuple,
     write_family,
+)
+from emcverify.densities import decompose, random_condition_family, slice_partition
+from emcverify.matchings import enumerate_matchings, sample_matching
+from emcverify.transforms import (
+    enumerate_shifted_families,
+    lower_shadow,
+    shift_closure,
+    shift_ij,
+    upper_shadow,
 )
 
 
@@ -399,3 +411,59 @@ class TestFamilyIO:
         if k >= 1:
             assert parse_family_text(family_to_text(fam)) == fam
         assert family_from_json(family_to_json(fam)) == fam
+
+
+# Every family the library derives, and every parsed one, skips the member
+# loop of SetFamily; each builder maps a seeded random 3-uniform family on [7]
+# and the seeded RNG to some of its outputs.
+_DERIVED = {
+    "shift_ij": lambda f, rng: [shift_ij(f, *sorted(rng.sample(range(1, 8), 2)))],
+    "shift_closure": lambda f, rng: [shift_closure(f).result],
+    "lower_shadow": lambda f, rng: [lower_shadow(f, b) for b in (1, 2, 3)],
+    "upper_shadow": lambda f, rng: [upper_shadow(f, u) for u in (4, 5, 7)],
+    "decompose": lambda f, rng: list(decompose(f, rng.sample(range(1, 8), 3)).values()),
+    "slice_partition": lambda f, rng: list(slice_partition(f, rng.randint(0, 2))),
+    "build_extremal": lambda f, rng: [
+        build_extremal(Params(n=9, k=3, s=rng.randint(1, 2)), kind) for kind in "AB"],
+    "lex_initial_family": lambda f, rng: [
+        lex_initial_family(7, 3, rng.randint(0, 35), order) for order in ("lex", "colex")],
+    "enumerate_shifted_families": lambda f, rng: rng.sample(list(enumerate_shifted_families(6, 2)), 5),
+    "random_condition_family": lambda f, rng: [
+        random_condition_family(Params(n=12, k=3, s=0), rng.randint(0, 40), rng)],
+    "sample_matching": lambda f, rng: [sample_matching(Params(n=12, k=3, s=1), rng.randrange(99))],
+    "enumerate_matchings": lambda f, rng: rng.sample(list(enumerate_matchings(Params(n=9, k=3, s=1))), 5),
+    "parse_family_text": lambda f, rng: [parse_family_text(family_to_text(f))],
+    "family_from_json": lambda f, rng: [family_from_json(family_to_json(f))],
+}
+
+
+class TestDerivedFamilies:
+    @pytest.mark.parametrize("builder", sorted(_DERIVED))
+    def test_outputs_pass_the_member_check(self, builder):
+        rng = random.Random(f"derived-{builder}")
+        for _ in range(4):
+            f = random_family(rng, 7, 3, rng.randint(0, 35))
+            for g in _DERIVED[builder](f, rng):
+                assert SetFamily(g.n, g.k, g.members) == g
+
+    def test_shapes_still_checked(self):
+        # the slices F(j), j >= 1, of a k = 0 family would be (-1)-uniform
+        with pytest.raises(ShapeError, match="bad family shape n=4 k=-1"):
+            slice_partition(SetFamily(4, 0, (0,)), 1)
+
+    def test_parsed_and_shadowed_members_are_not_rechecked(self, monkeypatch):
+        checked = []
+        post_init = SetFamily.__post_init__
+
+        def counting(fam):
+            checked.append(len(fam.members))
+            post_init(fam)
+
+        monkeypatch.setattr(SetFamily, "__post_init__", counting)
+        fam = parse_family_text("6 2\n1 2\n3 4\n2 6\n")
+        assert len(upper_shadow(fam, 4)) == 13 and len(lower_shadow(fam, 1)) == 5
+        assert len(shift_closure(fam).result) == 3
+        assert sum(checked) == 0
+        with pytest.raises(ShapeError):  # an outside constructor still checks
+            SetFamily.from_masks(6, 2, [0b111])
+        assert checked[-1] == 1

@@ -274,6 +274,17 @@ class TestSampledSlacks:
             lhs, rhs, ok = verify_lemma4(random_condition_family(p, rng.randint(1, cap), rng), s)
             assert (size, slack / beta) == (rhs, lhs - rhs) and ok
 
+    @pytest.mark.parametrize("trials, max_size, thresholds, message", [
+        (5, 20, (11, 9), "thresholds must be strictly increasing"),
+        (0, 0, (1, 4), "threshold alpha_2=1 is below 2"),  # thresholds first
+        (5, 0, (11, 17), "got max_size=0, trials=5"),
+        (0, 20, (11, 17), "got max_size=20, trials=0"),
+    ])
+    def test_bad_arguments_refused_first(self, trials, max_size, thresholds, message):
+        with pytest.raises(ShapeError) as info:
+            sampled_slacks(Params(n=11, k=3, s=1), trials, max_size, 4, 2, thresholds)
+        assert message in str(info.value)
+
     def test_depth_b_draws(self):
         p, b, thresholds = Params(n=11, k=3, s=1), 2, (11, 17)
         beta, draws = sampled_slacks(p, 5, 20, 4, b, thresholds)

@@ -94,6 +94,15 @@ class TestMatchingNumber:
         assert matching_number(f) == 2
         assert time.perf_counter() - start < 1.0
 
+    def test_wide_ground_relabeled(self):
+        # element n is in the first and the last member; the search works on the
+        # 999 covered elements, not on masks 2e6 bits wide
+        n = 2 * 10**6
+        f = SetFamily.from_sets(n, 2, [(1, n), *((i, i + 1) for i in range(3, 998, 2)), (999, n)])
+        start = time.perf_counter()
+        assert (len(f), matching_number(f)) == (500, 499)
+        assert time.perf_counter() - start < 0.2
+
     def test_monotone_under_union(self):
         rng = random.Random(71)
         for _ in range(60):
