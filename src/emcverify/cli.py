@@ -166,9 +166,9 @@ def cmd_shift(args):
 
 
 def cmd_shadow(args):
-    fam = read_family(args.input)
     if args.depth is not None and args.upper is not None:
         raise UsageError("--depth and --upper are mutually exclusive")
+    fam = read_family(args.input)
     if args.upper is not None:
         direction, target = "upper", args.upper
         shadow = upper_shadow(fam, target)

@@ -189,10 +189,6 @@ def exact_eta_distribution(g: SetFamily, params: Params, t: int | None = None) -
     return {eta: Fraction(c, total) for eta, c in counts.items()}
 
 
-def distribution_mean(dist: dict[int, Fraction]) -> Fraction:
-    return sum((Fraction(eta) * p for eta, p in dist.items()), Fraction(0))
-
-
 def tail_bound(beta: float) -> float:
     """The sub-Gaussian bound 2*exp(-beta^2 / 2)."""
     return 2.0 * math.exp(-beta * beta / 2.0)
@@ -313,7 +309,13 @@ def gamma_threshold(t: int, s: int) -> float:
         raise ShapeError(f"gamma_threshold: need t >= 1, got {t}")
     if s < 2:
         raise ShapeError(f"gamma_threshold: need s >= 2, got {s}")
-    return 10.0 * math.sqrt(t * math.log(s))
+    try:
+        radicand = t * math.log(s)
+    except OverflowError:  # t has no double
+        radicand = math.inf
+    if radicand == math.inf:
+        raise ShapeError(f"gamma_threshold: t ln s passes the largest double at {len(str(t))}-digit t")
+    return 10.0 * math.sqrt(radicand)
 
 
 def default_gamma(t: int, s: int) -> float:

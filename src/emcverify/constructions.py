@@ -8,8 +8,9 @@ The gap sets are arithmetic progressions used to certify that families made
 of far-apart elements are small: the dense one has step 3(s+1)/4 (only
 defined when that is an integer), the sparse one has step 3(s+1).
 
-The brute-force maxima over shifted families check the closed-form sizes at
-desk scale.
+The exact maxima behind ``verify emc|rainbow-emc`` walk the shifted families
+on [(s+1)k] once per (k, s): their traces there decide the matching number
+and cross-dependence, and size the largest family on every [n] in closed form.
 """
 
 from __future__ import annotations
@@ -17,14 +18,16 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (MATERIALIZATION_CAP, Params, SetFamily, ShapeError, _derived_family, binomial,
                    enumerate_ksets, interval_mask, mask_from_elements)
 from .matchings import find_rainbow, matching_number
 from .transforms import enumerate_shifted_families
 
-# rainbow_max_min_size scans no more (s+1)-tuples than this: on a 2-vCPU VM
-# (8, 2, 2) has 357,760 and took 1.5 s, (9, 2, 2) 2.8e6 and took 16.7 s.
+# rainbow_max_min_size scans no more (s+1)-tuples of traces on [(s+1)k] than
+# this, at any n: (k, s) = (2, 2) has 5,984 and (3, 1) 2,211; (2, 3) has
+# 11,716,640.  On a 2-vCPU VM a scan of 357,760 tuples took 1.5 s.
 RAINBOW_TUPLE_GUARD = 1_000_000
 
 
@@ -46,55 +49,65 @@ def size_extremal(params: Params, kind: str) -> int:
     return binomial((s + 1) * k - 1, k)
 
 
-def classic_max_bounded_nu(n: int, k: int, s: int) -> int:
-    """Largest family size among shifted families with matching number <= s.
+@lru_cache(maxsize=64)
+def _trace_walk(k: int, s: int) -> tuple[tuple[SetFamily, tuple[int, ...]], ...]:
+    """Every shifted family T on [m], m = (s+1)k, with its counts c_0..c_k.
 
-    Shifting preserves size and never raises the matching number, so this
-    maximum equals the maximum over all families.
+    The largest shifted family on [n >= m] with trace T keeps A iff B*(A) is in
+    T, b*_i = min(a_i, m - k + i), and has sum_j c_j C(n - m, j) members: c_j
+    counts the (k-j)-sets A' of [m] with B*(A', then the top j elements of [m])
+    in T, so a member of T whose top r elements are m - r + 1..m adds C(r, j).
     """
-    best = 0
-    for fam in enumerate_shifted_families(n, k):
-        if len(fam) > best and matching_number(fam) <= s:
-            best = len(fam)
-    return best
+    m = (s + 1) * k
+    walk = []
+    for trace in enumerate_shifted_families(m, k):
+        runs = [m - (interval_mask(1, m) & ~b).bit_length() for b in trace.members]
+        walk.append((trace, tuple(sum(math.comb(r, j) for r in runs) for j in range(k + 1))))
+    return tuple(walk)
+
+
+def _ranked_traces(n: int, k: int, s: int) -> list[tuple[int, SetFamily]]:
+    """(sum_j c_j C(n - m, j), T) per trace T of ``_trace_walk``, largest first."""
+    free = n - (s + 1) * k
+    return sorted(((sum(c * binomial(free, j) for j, c in enumerate(counts)), trace)
+                   for trace, counts in _trace_walk(k, s)), key=lambda p: -p[0])
+
+
+def classic_max_bounded_nu(n: int, k: int, s: int) -> int:
+    """Largest family on [n] with matching number <= s.  Shifting keeps the size
+    and never raises the matching number, and s + 1 disjoint members of a shifted
+    family pushed onto [m], m = (s+1)k, in order stay disjoint members; so this is
+    the largest closure of a trace on [m] with matching number <= s, and below
+    n = m every family qualifies."""
+    if n < (s + 1) * k:
+        return binomial(n, k)
+    return next(size for size, trace in _ranked_traces(n, k, s) if matching_number(trace) <= s)
 
 
 def rainbow_max_min_size(n: int, k: int, s: int) -> int:
-    """Largest min-size over cross-dependent (s+1)-tuples of shifted families.
+    """Largest min-size over cross-dependent (s+1)-tuples of families on [n].
 
-    Tuples are scanned as nondecreasing index sequences over the size-sorted
-    shifted list; once the current family's size cannot beat the best min,
-    the whole branch is pruned (sizes only shrink down the list).  More than
-    RAINBOW_TUPLE_GUARD such sequences are refused before the scan.
+    The traces on [m] decide, as in ``classic_max_bounded_nu``.  Each ranked
+    trace is tried with every nondecreasing s-tuple of the traces up to it;
+    more than RAINBOW_TUPLE_GUARD (s+1)-tuples are refused before the scan.
     """
-    fams = sorted(enumerate_shifted_families(n, k), key=len, reverse=True)
-    tuples = binomial(len(fams) + s, s + 1)
+    if n < (s + 1) * k:
+        return binomial(n, k)
+    ranked = _ranked_traces(n, k, s)
+    tuples = binomial(len(ranked) + s, s + 1)
     if tuples > RAINBOW_TUPLE_GUARD:
-        raise ShapeError(f"rainbow_max_min_size: {tuples} tuples of {len(fams)} shifted "
-                         f"families exceed guard {RAINBOW_TUPLE_GUARD}")
-    best = 0
-    chosen: list[SetFamily] = []
-
-    def rec(start: int) -> None:
-        nonlocal best
-        for i in range(start, len(fams)):
-            if len(fams[i]) <= best:
-                break
-            chosen.append(fams[i])
-            if len(chosen) == s + 1:
-                if not find_rainbow(tuple(chosen)).complete:
-                    best = len(fams[i])
-            else:
-                rec(i)
-            chosen.pop()
-
-    rec(0)
-    return best
+        raise ShapeError(f"rainbow_max_min_size: {tuples} tuples of {len(ranked)} shifted "
+                         f"families on [{(s + 1) * k}] exceed guard {RAINBOW_TUPLE_GUARD}")
+    # the first rank that closes a cross-dependent tuple of ranks up to it is the answer
+    for i, (size, trace) in enumerate(ranked):
+        for rest in itertools.combinations_with_replacement(ranked[:i + 1], s):
+            if not find_rainbow((*(t for _, t in rest), trace)).complete:
+                return size
 
 
 def emc_grid(n_max: int, k_max: int, s_max: int, rainbow: bool = False) -> list[dict]:
     """One row per (n, k, s), k <= k_max, s <= s_max, (s+1)k <= n <= n_max: the sizes
-    of A and B, the larger as expected, and the brute-force maximum (rainbow or
+    of A and B, the larger as expected, and the exact maximum (rainbow or
     classic) as found with its verdict, or the guard's message as skipped."""
     search = rainbow_max_min_size if rainbow else classic_max_bounded_nu
     rows = []

@@ -148,19 +148,6 @@ def beta_parameter(family: SetFamily) -> BetaValue:
     return BetaValue(value=value, witness_member=member, witness_ell=ell)
 
 
-def check_sum_beta(families: FamilyTuple) -> tuple[Fraction, bool]:
-    """Sum of the per-family beta parameters and whether it exceeds 1.
-
-    The verdict is meaningful for cross-dependent shifted tuples (where it
-    must be true); the function itself just reports the exact sum.
-    """
-    validate_family_tuple(families)
-    total = Fraction(0)
-    for fam in families:
-        total += beta_parameter(fam).value
-    return total, total > 1
-
-
 def meets_thresholds(mask: int, b: int, thresholds) -> bool:
     """True iff some i in [b, b + len(thresholds) - 1] has |A ∩ [thresholds[i - b]]| >= i."""
     return any(
@@ -246,7 +233,11 @@ def theorem3_slack(
             raise ShapeError(
                 f"verify_theorem3: member {sorted(elements_from_mask(m))} fails every threshold"
             )
-    return beta, len(lower_shadow(family, b)) - beta * len(family)
+    return beta, _slack(family, b, beta)
+
+
+def _slack(family: SetFamily, b: int, beta: Fraction) -> Fraction:
+    return len(lower_shadow(family, b)) - beta * len(family)
 
 
 def verify_theorem3(
@@ -270,15 +261,6 @@ def local_lym_ratio(family: SetFamily, ground_size: int | None = None) -> bool:
     """Double-counting bound (m - k + 1) * |shadow| >= k * |F| on a ground of size m."""
     _, lhs, rhs = local_lym_sides(family, ground_size)
     return lhs >= rhs
-
-
-def gap_set_prefix_peak(gap_mask: int, n: int) -> Fraction:
-    """max over ell in [n] of |G ∩ [ell]| / ell for a gap set G.
-
-    For the dense progression with step s' this equals exactly 1/s',
-    witnessing that no member dominating G can have a large beta.
-    """
-    return _prefix_peak(gap_mask, n)[0]
 
 
 @lru_cache(maxsize=8)
@@ -371,5 +353,5 @@ def sampled_slacks(params: Params, trials: int, max_size: int, seed: int, b: int
     for _ in range(trials):
         size = rng.randint(1, cap)
         family = random_condition_family(params, size, rng, b, thresholds)
-        draws.append((size, theorem3_slack(family, b, thresholds)[1]))
+        draws.append((size, _slack(family, b, beta)))  # drawn members meet the thresholds
     return beta, draws

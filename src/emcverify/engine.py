@@ -18,7 +18,6 @@ from fractions import Fraction
 from .core import (
     FamilyTuple,
     Params,
-    SetFamily,
     ShapeError,
     binomial,
     e_enclosures,
@@ -135,18 +134,6 @@ def _slice_tables(families: FamilyTuple, matching: Matching, s: int) -> list[_Sl
     return out
 
 
-def _m_from_counts(counts: tuple[int, ...], s: int) -> float:
-    for j in range(1, s + 2):
-        if counts[j - 1] <= s + 1 - j:
-            return j
-    return math.inf
-
-
-def compute_m(family: SetFamily, matching: Matching, s: int):
-    """Smallest j in [s+1] with |F(j) ∩ M| <= s + 1 - j, else infinity."""
-    return _m_from_counts(_slice_tables((family,), matching, s)[0].counts, s)
-
-
 def _xi_from_tables(tables, s: int) -> int:
     return sum((3 * s + 3) * d.counts[s] + sum(d.counts[:s]) for d in tables)
 
@@ -245,8 +232,9 @@ def _arrange_core(families: FamilyTuple, matching: Matching, config: ThresholdCo
     rules.append("R2")
 
     # R3: the small block is sorted by descending m (infinity first), ties by
-    # original index.
-    m_of = {i: _m_from_counts(tables[i].counts, s) for i in range(s + 1)}
+    # original index; m is the least j in [s+1] with |F(j) ∩ M| <= s + 1 - j.
+    m_of = {i: next((j for j in range(1, s + 2) if tables[i].counts[j - 1] <= s + 1 - j),
+                    math.inf) for i in range(s + 1)}
     small.sort(key=lambda i: (-(s + 2 if m_of[i] == math.inf else m_of[i]), i))
     rules.append("R3")
 
@@ -460,6 +448,14 @@ class AuditReport:
         return tuple(c.name for c in self.checks if not c.passed)
 
 
+def _double_text(x, spec: str = "") -> str:
+    """format(float(x), spec) where x has a double, else x rounded to an exact integer."""
+    try:
+        return format(float(x), spec)
+    except OverflowError:
+        return str(round(x))
+
+
 def audit_inequalities(
     s: int,
     k: int,
@@ -563,7 +559,7 @@ def audit_inequalities(
         add(
             "slice-growth",
             ok,
-            float(c_side),
+            _double_text(c_side),
             st,
             "W1 counting chain; the first step exceeds by exactly s*gamma/3 + 2t/3 + 2/3, "
             "the middle needs 4s <= t, the close needs gamma + 1 < st/(6(s+t+1)) >= s/7",
@@ -572,7 +568,7 @@ def audit_inequalities(
     if "slice-indexed" in selected:
         j_lo, j_hi = ranges.get("j", (-(-sp1 // 6), sp1))
         ok = t >= 1 and 3 * (3 * s + j_hi) <= 2 * t and gf + 1 < Fraction(sp1, 11)
-        worst_margin = math.inf
+        margins = []
         # b - a = 3j*gamma and st - c are linear in j, c - b = j(2t/3 - 3s - j)
         # is concave, and j*t/(3(3s+3+4j)) increases with j while 3s+3+4j > 0
         # (a <= b forces j >= 0 at both ends, and an endpoint with
@@ -586,11 +582,11 @@ def audit_inequalities(
             ok = ok and den > 0 and Fraction(j * t, 3 * den) > Fraction(sp1, 11)
             if j_lo <= j_hi:  # an empty range quantifies over nothing
                 ok = ok and a_j <= b_j
-                worst_margin = min(worst_margin, float(st - c_j))
+                margins.append(st - c_j)
         add(
             "slice-indexed",
             ok,
-            f"min margin {worst_margin:.6g}",
+            f"min margin {_double_text(min(margins, default=math.inf), '.6g')}",
             "0",
             f"W2 counting chain for all j in [{j_lo}, {j_hi}]; first step exceeds by "
             "exactly 3*j*gamma, middle needs 3s + j <= 2t/3, close needs "

@@ -2,15 +2,20 @@
 
 Every oracle here recomputes its answer from definitions with itertools-style
 enumeration, so library results are checked against a second route rather
-than against themselves.
+than against themselves.  The two extremal maxima walk every shifted family
+on [n] and reuse the library searches, which are tested against the oracles
+above.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
-from emcverify.core import SetFamily, elements_from_mask, mask_from_elements
+from emcverify.core import SetFamily, binomial, elements_from_mask, mask_from_elements
+from emcverify.matchings import find_rainbow, matching_number
+from emcverify.transforms import enumerate_shifted_families
 
 
 def brute_lower_shadow(family: SetFamily, b: int) -> set[int]:
@@ -59,6 +64,51 @@ def brute_rainbow(families) -> tuple[int, ...] | None:
         else:
             return combo
     return None
+
+
+def brute_classic_max(n: int, k: int, s: int) -> int:
+    """Largest shifted family on [n] with matching number <= s, by walking them all.
+
+    Shifting keeps the size and never raises the matching number, so this is
+    the largest family of all.  ``matching_number`` is checked against
+    ``brute_matching_number`` in tests/test_matchings.py.
+    """
+    return max(len(f) for f in enumerate_shifted_families(n, k) if matching_number(f) <= s)
+
+
+def brute_rainbow_max_min(n: int, k: int, s: int) -> int | None:
+    """Largest min-size over cross-dependent (s+1)-tuples of shifted families on [n],
+    or None past 10**6 nondecreasing tuples.
+
+    The tuples are scanned over the families sorted by size, largest first;
+    once a family cannot beat the best min found, its branch is pruned.
+    """
+    fams = sorted(enumerate_shifted_families(n, k), key=len, reverse=True)
+    if binomial(len(fams) + s, s + 1) > 10**6:
+        return None
+    best = 0
+    chosen: list[SetFamily] = []
+
+    def rec(start: int) -> None:
+        nonlocal best
+        for i in range(start, len(fams)):
+            if len(fams[i]) <= best:
+                break
+            chosen.append(fams[i])
+            if len(chosen) == s + 1:
+                if not find_rainbow(tuple(chosen)).complete:
+                    best = len(fams[i])
+            else:
+                rec(i)
+            chosen.pop()
+
+    rec(0)
+    return best
+
+
+def law_mean(dist) -> Fraction:
+    """Mean of a law given as {value: probability}."""
+    return sum((value * p for value, p in dist.items()), Fraction(0))
 
 
 def brute_hall_assignment(slice_sets: list[set[int]], blocks: list[int]):

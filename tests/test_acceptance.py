@@ -18,10 +18,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_hall_assignment
+from conftest import brute_hall_assignment, law_mean
 from emcverify.constructions import classic_max_bounded_nu, rainbow_max_min_size
 from emcverify.concentration import (
-    distribution_mean,
     exact_eta_distribution,
     layer_density,
     monte_carlo_eta,
@@ -130,14 +129,14 @@ def test_criterion_04_exact_mean():
         for g in (SetFamily(p.n, p.k - 1, ()), layer, _star_blocks(p), halfish, thirdish):
             dist = exact_eta_distribution(g, p)
             ok = ok and sum(dist.values()) == 1
-            ok = ok and distribution_mean(dist) == layer_density(g, p) * p.t
+            ok = ok and law_mean(dist) == layer_density(g, p) * p.t
             instances += 1
     # the designated star instance: n'=6, blocks of size 2, t=3, eta == 1
     p = Params(n=9, k=3, s=2)
     star = _star_blocks(p)
     dist = exact_eta_distribution(star, p, t=3)
     ok = ok and dist == {1: Fraction(1)}
-    ok = ok and distribution_mean(dist) == layer_density(star, p) * 3
+    ok = ok and law_mean(dist) == layer_density(star, p) * 3
     instances += 1
     ok = ok and instances >= 20
     _finish(4, f"exact mean == alpha*t on {instances} instances (zero tolerance)",

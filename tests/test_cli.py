@@ -130,6 +130,11 @@ class TestShiftShadowNu:
         assert run(["shadow", "--in", src, "--depth", "1", "--upper", "3"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
+    def test_shadow_conflict_before_reading(self, capsys, tmp_path):
+        assert run(["shadow", "--in", str(tmp_path / "missing.txt"), "--depth", "1",
+                    "--upper", "3"]) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+
     def test_shadow_family_out(self, capsys, tmp_path):
         src = fam_file(tmp_path / "f.txt", 4, 2, (1, 2), (3, 4))
         out = tmp_path / "sh.txt"
@@ -360,7 +365,7 @@ class TestVerifyGrids:
         assert time.perf_counter() - start < 5.0
         assert code == 0 and rep["all_ok"]
         skipped = {(r["n"], r["k"], r["s"]) for r in rep["rows"] if "skipped" in r}
-        assert skipped == {(9, 2, 2), (8, 2, 3), (9, 2, 3)}
+        assert skipped == {(8, 2, 3), (9, 2, 3)}
         assert all(r["verdict"] for r in rep["rows"] if "skipped" not in r)
 
     def test_emc_csv(self, capsys):
@@ -422,7 +427,7 @@ class TestPinnedReports:
         rows += [(n, 2, 1, n - 1, 3, max(n - 1, 3), max(n - 1, 3), True) for n in range(4, 9)]
         rows += [(6, 2, 2, 9, 10, 10, 10, True), (7, 2, 2, 11, 10, 11, 11, True),
                  (8, 2, 2, 13, 10, 13, 13, True), (6, 3, 1, 10, 10, 10, 10, True),
-                 (7, 3, 1, 15, 10, 15, 15, True), (8, 3, 1, 21, 10, 21, "", "")]
+                 (7, 3, 1, 15, 10, 15, 15, True), (8, 3, 1, 21, 10, 21, 21, True)]
         lines = ["n,k,s,size_a,size_b,expected,found,verdict"]
         lines += [",".join(map(str, row)) for row in rows]
         assert capsys.readouterr().out == "\r\n".join(lines) + "\r\n"
@@ -524,6 +529,13 @@ class TestAuditCmd:
                                       "--checks", "t-floor,union-bound"])
         assert code == 0
         assert [c["name"] for c in rep["report"]["checks"]] == ["t-floor", "union-bound"]
+
+    def test_past_the_double_range(self, capsys):
+        # s*t has no double at 10^154; gamma has none at 10^400
+        code, rep = run_json(capsys, ["audit", "--s", str(10**154), "--k", "3"])
+        assert code == 0 and rep["all_passed"]
+        assert run(["audit", "--s", str(10**400), "--k", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: gamma_threshold: ")
 
     def test_csv(self, capsys):
         assert run(["audit", "--s", "2000000", "--k", "2", "--format", "csv"]) == 0

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_matchings
+from conftest import brute_matchings, law_mean
 from emcverify.concentration import (
     EXACT_WORK_CAP,
     beta_tails,
     check_exact_work,
     default_beta_grid,
     default_gamma,
-    distribution_mean,
     event_probe,
     exact_eta_distribution,
     exact_eta_report,
@@ -86,7 +85,7 @@ class TestExactDistribution:
         p = Params(n=8, k=3, s=1)
         dist = exact_eta_distribution(star_blocks(p), p, t=3)
         assert dist == {1: Fraction(1)}
-        assert distribution_mean(dist) == layer_density(star_blocks(p), p) * 3
+        assert law_mean(dist) == layer_density(star_blocks(p), p) * 3
 
     def test_full_layer(self):
         p = Params(n=8, k=3, s=1)
@@ -120,7 +119,7 @@ class TestExactDistribution:
                     members = [m for m in layer.members if rng.random() < 0.5]
                     g = SetFamily.from_masks(n, k - 1, members)
                     dist = exact_eta_distribution(g, p, t)
-                    assert distribution_mean(dist) == layer_density(g, p) * t
+                    assert law_mean(dist) == layer_density(g, p) * t
                     assert sum(dist.values()) == 1
 
 
@@ -192,7 +191,7 @@ class TestExactDynamicProgram:
         g = half_layer(p, random.Random(7))
         dist = exact_eta_distribution(g, p)
         assert sum(dist.values()) == 1
-        assert distribution_mean(dist) == layer_density(g, p) * 7
+        assert law_mean(dist) == layer_density(g, p) * 7
 
     def test_one_matching_on_a_long_tail(self):
         # t = n' one-element blocks: a single matching, 2000 positions deep
@@ -404,6 +403,12 @@ class TestGammaThreshold:
             gamma_threshold(0, 3)
         with pytest.raises(ShapeError):
             gamma_threshold(10, 1)
+
+    @pytest.mark.parametrize("t, s", [(10**306, 10**300), (10**400, 10**400)])
+    def test_past_the_double_range(self, t, s):
+        # t ln s overflows to inf in the first case; t has no double in the second
+        with pytest.raises(ShapeError, match="passes the largest double"):
+            gamma_threshold(t, s)
 
 
 class TestEventProbe:

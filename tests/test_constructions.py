@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import brute_classic_max, brute_rainbow_max_min
 from emcverify.constructions import (
     build_extremal,
     build_gap_set,
+    classic_max_bounded_nu,
     lemma3_bound,
     rainbow_max_min_size,
     size_A_layered,
@@ -163,16 +165,48 @@ class TestCoverBound:
 
 
 class TestRainbowGuard:
-    @pytest.mark.parametrize("n, k, s, tuples", [(9, 2, 2, 2_829_056), (8, 2, 3, 11_716_640)])
+    @pytest.mark.parametrize("n, k, s, tuples", [(8, 2, 3, 11_716_640), (12, 1, 11, 2_704_156)])
     def test_refused_before_the_tuple_scan(self, n, k, s, tuples):
-        # C(F + s, s + 1) nondecreasing (s+1)-tuples of F shifted families; the
-        # scan over them took 16.7 s and 6.9 s
+        # C(F + s, s + 1) nondecreasing (s+1)-tuples of the F shifted families
+        # on [(s+1)k]: 128 on [8] for k = 2, 13 on [12] for k = 1
         start = time.perf_counter()
         with pytest.raises(ShapeError, match=f"{tuples} tuples of .* exceed guard 1000000"):
             rainbow_max_min_size(n, k, s)
         assert time.perf_counter() - start < 1.0
 
     def test_rows_under_the_guard_still_decided(self):
-        # 32 shifted families on [6] give C(34, 3) = 5,984 tuples
-        assert rainbow_max_min_size(6, 2, 2) == max(size_extremal(Params(6, 2, 2), "A"),
-                                                    size_extremal(Params(6, 2, 2), "B")) == 10
+        # 32 shifted families on [6] give C(34, 3) = 5,984 tuples at every n; the
+        # families on [9] gave 2,829,056, so (9, 2, 2) was refused before the traces
+        for n, want in ((6, 10), (9, 15)):
+            p = Params(n, 2, 2)
+            assert rainbow_max_min_size(n, 2, 2) == max(size_extremal(p, "A"),
+                                                         size_extremal(p, "B")) == want
+
+
+# every (n, k, s) where the walk over shifted families on [n] runs: C(n, k) <= 36
+_ORACLE_GRID = [(n, k, s) for n in range(13) for k in range(n + 1) if binomial(n, k) <= 36
+                for s in range(7)]
+
+
+class TestTraceMaxima:
+    def test_classic_equals_the_walk_on_n(self):
+        for n, k, s in _ORACLE_GRID:
+            assert classic_max_bounded_nu(n, k, s) == brute_classic_max(n, k, s), (n, k, s)
+
+    def test_rainbow_equals_the_walk_on_n(self):
+        decided = 0
+        for n, k, s in _ORACLE_GRID:
+            want = brute_rainbow_max_min(n, k, s)
+            if want is not None:  # at most 10^6 tuples
+                assert rainbow_max_min_size(n, k, s) == want, (n, k, s)
+                decided += 1
+        assert decided == 379  # of the 420 points
+
+    @pytest.mark.parametrize("k, s", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)])
+    def test_conjectured_value_up_to_n_60(self, k, s):
+        for n in range((s + 1) * k, 61):
+            p = Params(n, k, s)
+            want = max(size_extremal(p, "A"), size_extremal(p, "B"))
+            assert classic_max_bounded_nu(n, k, s) == want, n
+            if (k, s) != (2, 3):  # its 11,716,640 tuples of traces exceed the guard
+                assert rainbow_max_min_size(n, k, s) == want, n

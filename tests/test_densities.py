@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_family
+from emcverify import densities
 from emcverify.constructions import build_extremal, build_gap_set
 from emcverify.core import (
     Params,
@@ -20,12 +21,10 @@ from emcverify.core import (
 from emcverify.densities import (
     alpha_profile,
     beta_parameter,
-    check_sum_beta,
     condition_count,
     decompose,
     default_thresholds,
     ell_condition,
-    gap_set_prefix_peak,
     local_lym_ratio,
     meets_thresholds,
     random_condition_family,
@@ -191,9 +190,8 @@ class TestBeta:
             assert beta_parameter(f).value == want
 
     def test_sum_example(self):
-        total, verdict = check_sum_beta((fam(5, 2, (1, 2)), fam(5, 2, (2, 4))))
-        assert total == Fraction(3, 2)
-        assert verdict
+        pair = (fam(5, 2, (1, 2)), fam(5, 2, (2, 4)))
+        assert sum(beta_parameter(f).value for f in pair) == Fraction(3, 2)
 
     def test_sum_over_cross_dependent_shifted_pairs(self):
         # the rationale for the rearrangement cutoffs: whenever no disjoint
@@ -204,8 +202,8 @@ class TestBeta:
                 for f2 in fams:
                     if find_rainbow((f1, f2)).complete:
                         continue
-                    total, verdict = check_sum_beta((f1, f2))
-                    assert verdict, (f1.as_sets(), f2.as_sets(), total)
+                    total = beta_parameter(f1).value + beta_parameter(f2).value
+                    assert total > 1, (f1.as_sets(), f2.as_sets(), total)
 
 
 class TestEllCondition:
@@ -293,6 +291,19 @@ class TestSampledSlacks:
         for size, slack in draws:
             f = random_condition_family(p, rng.randint(1, cap), rng, b, thresholds)
             assert (size, beta, slack) == (len(f), *theorem3_slack(f, b, thresholds))
+
+    def test_draws_are_not_checked_again(self, monkeypatch):
+        # the sampler draws only qualifying sets, so no member is re-tested
+        p, b, thresholds = Params(n=11, k=3, s=1), 2, (11, 17)
+        want = sampled_slacks(p, 5, 20, 4, b, thresholds)
+
+        def refuse(*args):
+            raise AssertionError("member re-checked")
+
+        monkeypatch.setattr(densities, "meets_thresholds", refuse)
+        assert sampled_slacks(p, 5, 20, 4, b, thresholds) == want
+        with pytest.raises(AssertionError):  # the public function keeps its check
+            theorem3_slack(fam(11, 3, (1, 2, 3)), b, thresholds)
 
 
 class TestTheorem3:
@@ -382,7 +393,9 @@ class TestGapPeak:
             for k in (1, 2, 3):
                 p = Params(n=step * k + 3, k=k, s=s)
                 mask = build_gap_set(p, "dense")
-                assert gap_set_prefix_peak(mask, p.n) == Fraction(1, step)
+                # beta of the one-member family {G} is G's prefix peak
+                peak = beta_parameter(SetFamily.from_masks(p.n, k, [mask])).value
+                assert peak == Fraction(1, step)
 
     def test_beta_of_gap_singleton(self):
         s = 3

@@ -14,9 +14,9 @@ from emcverify.engine import (
     attempt_rainbow_procedure,
     audit_inequalities,
     audit_scan_down,
-    compute_m,
     xi_statistic,
 )
+from emcverify.densities import slice_partition
 from emcverify.matchings import find_rainbow, sample_matching
 
 
@@ -65,6 +65,13 @@ class TestThresholdConfig:
             with pytest.raises(ShapeError) as info:
                 base.with_overrides(raw)
             assert str(info.value) == message
+
+
+def compute_m(family, matching, s):
+    """Smallest j in [s+1] with |F(j) ∩ M| <= s + 1 - j, else infinity."""
+    parts, hit = slice_partition(family, s), set(matching.members)
+    return next((j for j in range(1, s + 2)
+                 if sum(b in hit for b in parts[j].members) <= s + 1 - j), math.inf)
 
 
 class TestComputeM:
@@ -318,6 +325,24 @@ class TestAudit:
         for s in (11, 17, 37, 100):
             for k in (2, 3, 5):
                 assert audit_inequalities(s, k, checks=["t-floor"]).all_passed
+
+    @pytest.mark.parametrize("s", [10**154, 10**200])
+    def test_margins_past_the_double_range(self, s):
+        # s*t has no double here, so both sides print as exact integers
+        lhs = {c.name: c.lhs for c in audit_inequalities(s, 3).checks}
+        assert int(lhs["slice-growth"]) > 10**308
+        if s == 10**200:
+            assert int(lhs["slice-indexed"].removeprefix("min margin ")) > 10**308
+        assert audit_inequalities(s, 3).all_passed
+
+    def test_margins_keep_double_text_where_it_exists(self):
+        lhs = {c.name: c.lhs for c in audit_inequalities(FROZEN_SCALE, 2).checks}
+        assert lhs["slice-growth"] == "28095984962687.53"
+        assert lhs["slice-indexed"] == "min margin 6.08128e+11"
+
+    def test_gamma_past_the_double_range_refused(self):
+        with pytest.raises(ShapeError, match="gamma_threshold: t ln s passes the largest double"):
+            audit_inequalities(10**400, 3)
 
     def test_gamma_margin_threshold(self):
         assert audit_inequalities(FROZEN_SCALE, 2, checks=["gamma-margin"]).all_passed
