@@ -12,7 +12,11 @@ matchings; `exact_eta_report` reads alpha*t, the mean and, through
 `beta_tails`, the exact tail mass for each beta off those counts.  Its guard
 refuses a shape before any work, from (n', k-1, t) alone.  Monte Carlo
 reads the same tails off the histogram of one `matchings.matching_draws`
-stream per call, and the event probe counts on one such stream.
+stream per call (`random.shuffle`'s stream, so seeded outputs are fixed),
+and the event probe counts on one such stream.  Both reports check a given
+beta grid where it enters, before any count or draw: every beta must be
+finite and >= 0.  The tails take each |eta - alpha*t| once and compare it
+with every beta's double cutoff 2*beta*sqrt(t) as an exact Fraction.
 
 Everything family-side stays in exact rationals; only the gamma threshold and
 the tail bounds use doubles (documented slack 1e-9).
@@ -231,11 +235,17 @@ def beta_tails(
 
     `hist` counts trials (Monte Carlo) or matchings (exact law) by eta, and
     `total` is their sum, so tail_freq is a frequency or an exact probability.
+    Each deviation is compared with the cutoff as an exact Fraction of the
+    double; a cutoff that overflows to inf is reached by no eta.
     """
+    deviations = [(abs(eta - center), c) for eta, c in hist.items()]
     tails = []
     for beta in betas:
         cutoff = 2.0 * beta * math.sqrt(t)
-        count = sum(c for eta, c in hist.items() if abs(Fraction(eta) - center) >= cutoff)
+        count = 0
+        if cutoff < math.inf:
+            bar = Fraction(cutoff)
+            count = sum(c for dev, c in deviations if dev >= bar)
         tails.append(
             BetaTail(
                 beta=beta,
@@ -255,6 +265,18 @@ def default_beta_grid(s: int) -> tuple[float, ...]:
     return tuple(grid)
 
 
+def _beta_grid(s: int, beta_grid: tuple[float, ...] | None) -> tuple[float, ...]:
+    """The beta grid of a report: the default for s, or the given one once
+    checked to hold only finite betas >= 0."""
+    if beta_grid is None:
+        return default_beta_grid(s)
+    betas = tuple(beta_grid)
+    for beta in betas:
+        if not (math.isfinite(beta) and beta >= 0):
+            raise ShapeError(f"beta grid: need finite betas >= 0, got {beta}")
+    return betas
+
+
 def monte_carlo_eta(
     g: SetFamily,
     params: Params,
@@ -268,11 +290,11 @@ def monte_carlo_eta(
     if trials < 1:
         raise ShapeError("monte_carlo_eta: need at least one trial")
     alpha = layer_density(g, params)
-    betas = default_beta_grid(params.s) if beta_grid is None else tuple(beta_grid)
+    betas = _beta_grid(params.s, beta_grid)
     members = set(g.members)
     hist: dict[int, int] = {}
     for blocks in islice(matching_draws(params, seed, t_val), trials):
-        eta = sum(b in members for b in blocks)
+        eta = len(members.intersection(blocks))  # the blocks are distinct
         hist[eta] = hist.get(eta, 0) + 1
     mean = Fraction(sum(eta * c for eta, c in hist.items()), trials)
     return ConcentrationReport(
@@ -290,9 +312,9 @@ def exact_eta_report(
 ) -> ExactEtaReport:
     """The exact twin of `monte_carlo_eta`: the law of eta, its mean against
     alpha * t and its tail mass per beta, all from one count of the matchings."""
+    betas = _beta_grid(params.s, beta_grid)
     t, counts, total = _eta_counts(g, params, t)
     alpha = Fraction(len(g), binomial(params.n_prime, params.k - 1))  # _eta_counts checked G
-    betas = default_beta_grid(params.s) if beta_grid is None else tuple(beta_grid)
     mean, center = Fraction(sum(eta * c for eta, c in counts.items()), total), alpha * t
     law = {eta: Fraction(c, total) for eta, c in counts.items()}
     return ExactEtaReport(alpha=alpha, t=t, mean=mean, expected_mean=center, verdict=mean == center,

@@ -186,28 +186,27 @@ def build_gap_set(params: Params, variant: str) -> int:
     return mask_from_elements([step * p for p in range(1, k + 1)])
 
 
-def _rational_binomial(x: Fraction | int, m: int) -> Fraction:
-    # C(x, m) by the falling factorial, valid for a rational upper argument
-    num, den = x.numerator, x.denominator
-    prod = 1
-    for i in range(m):
-        prod *= num - i * den
-    return Fraction(prod, den**m * math.factorial(m))
-
-
 def gap_bound(n: int, k: int, step: Fraction | int) -> tuple[Fraction, tuple[Fraction, ...]]:
     """The gap-set bound at a possibly rational step s'.
 
     Returns (sum over p in [k] of C(s'p - 1, p) * C(n - s'p + 1, k - p),
     consecutive term ratios term_{p+1}/term_p).  The binomials are
-    generalized, so the audit can evaluate them at s' = 3(s+1)/4 for any s.
+    generalized (falling factorials), so the audit can evaluate them at
+    s' = 3(s+1)/4 for any s.  With s' = a/b, every term is an integer
+    numerator C(k, p) * prod(ap - ib, i = 1..p) * prod(b(n+1) - ap - ib,
+    i = 0..k-p-1), two arithmetic progressions, over the common denominator
+    b^k * k!, so only the sum and the ratios are reduced.
     """
-    terms = [
-        _rational_binomial(step * p - 1, p) * _rational_binomial(n - step * p + 1, k - p)
+    step = Fraction(step)
+    a, b = step.numerator, step.denominator
+    top = b * (n + 1)
+    nums = [
+        math.comb(k, p) * math.prod(range(a * p - p * b, a * p, b))
+        * math.prod(range(top - a * p - (k - p - 1) * b, top - a * p + 1, b))
         for p in range(1, k + 1)
     ]
-    ratios = tuple(terms[p + 1] / terms[p] for p in range(len(terms) - 1) if terms[p] > 0)
-    return sum(terms), ratios
+    ratios = tuple(Fraction(nums[p + 1], nums[p]) for p in range(len(nums) - 1) if nums[p] > 0)
+    return Fraction(sum(nums), b**k * math.factorial(k)), ratios
 
 
 def lemma3_bound(params: Params) -> tuple[int, tuple[Fraction, ...]]:

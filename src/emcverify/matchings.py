@@ -234,13 +234,24 @@ def matching_draws(params: Params, seed: int, t: int | None = None):
     draw.  Every unordered matching is the image of exactly
     t! * ((k-1)!)^t * (n' - t(k-1))! permutations, so each draw is uniform
     whatever order the shuffle starts from.
+
+    The shuffle is ``random.shuffle``'s own, written out: for i from n'-1
+    down to 1 it draws j from ``getrandbits`` with the bit length of i + 1,
+    redraws while j > i, and swaps.  So the stream is the one
+    ``rng.shuffle(pool)`` gives, without its per-element method calls.
     """
     t, block = matching_shape(params, t)
     pool = [1 << (e - 1) for e in params.x_elements()]
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    steps = [(i, (i + 1).bit_length()) for i in range(len(pool) - 1, 0, -1)]
+    size = t * block
     while True:
-        rng.shuffle(pool)
-        yield [sum(pool[i : i + block]) for i in range(0, t * block, block)]
+        for i, bits in steps:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            pool[i], pool[j] = pool[j], pool[i]
+        yield pool[:size] if block == 1 else [sum(pool[i : i + block]) for i in range(0, size, block)]
 
 
 def sample_matching(params: Params, seed: int, t: int | None = None) -> Matching:

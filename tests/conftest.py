@@ -10,6 +10,7 @@ above.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -148,6 +149,37 @@ def brute_matchings(n: int, first: int, block_size: int, t: int):
         else:
             out.append(tuple(sorted(combo)))
     return out
+
+
+def fraction_gap_bound(n: int, k: int, step) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """The gap-set bound term by term in Fraction arithmetic: the sum over p
+    in [k] of C(s'p - 1, p) * C(n - s'p + 1, k - p), generalized binomials by
+    the falling factorial, and the consecutive term ratios."""
+
+    def rational_binomial(x, m):
+        x = Fraction(x)
+        prod = 1
+        for i in range(m):
+            prod *= x.numerator - i * x.denominator
+        return Fraction(prod, x.denominator**m * math.factorial(m))
+
+    terms = [rational_binomial(step * p - 1, p) * rational_binomial(n - step * p + 1, k - p)
+             for p in range(1, k + 1)]
+    ratios = tuple(terms[p + 1] / terms[p] for p in range(len(terms) - 1) if terms[p] > 0)
+    return sum(terms), ratios
+
+
+def shuffle_draws(params, seed: int, t: int | None = None):
+    """The matching stream as ``random.shuffle`` draws it: one ``random.Random(seed)``
+    shuffles one list of X's one-bit masks per draw, and the first t(k-1)
+    entries, chopped into (k-1)-blocks, are the draw."""
+    t = params.t if t is None else t
+    block = params.k - 1
+    pool = [1 << (e - 1) for e in range(params.s + 2, params.n + 1)]
+    rng = random.Random(seed)
+    while True:
+        rng.shuffle(pool)
+        yield [sum(pool[i : i + block]) for i in range(0, t * block, block)]
 
 
 def random_family(rng: random.Random, n: int, k: int, size: int) -> SetFamily:

@@ -307,6 +307,17 @@ class TestConcentrationCmd:
         assert [bt["beta"] for bt in rep["beta_grid"]] == [0.5, 1.0, 2.0, 3.0]
         assert all(bt["tail_freq"] == "0" for bt in rep["beta_grid"])
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("mode", [[], ["--exact"]])
+    def test_bad_beta_grid(self, capsys, tmp_path, beta, mode):
+        # NaN would be written as invalid JSON; inf and negatives make no cutoff
+        g = fam_file(tmp_path / "g.txt", 9, 1, (4,), (5,), (6,))
+        argv = ["concentration", "--in", g, "--n", "9", "--k", "2", "--s", "2",
+                "--beta-grid", f"0.5,{beta}", "--format", "json", *mode]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: beta grid: need finite betas >= 0")
+
     def test_exact_beyond_the_enumerator(self, capsys, tmp_path):
         # n' = 22, t = 7: 4.3e10 matchings, past the old 1e7 enumeration guard
         g = fam_file(tmp_path / "g.txt", 25, 2, (4, 5), (4, 6), (5, 9), (10, 20))
@@ -717,9 +728,6 @@ _FUZZ_COMMANDS = {
 # Commands whose report has a csv table, and commands that draw at random.
 _TABLE = {"audit", "concentration", "concentration-exact", "emc", "rainbow-emc"}
 _SEEDED = {"concentration", "lemma4", "sample-matching", "theorem3"}
-# Flags drawn from a narrower range than `_small`: the rainbow-EMC grid scans
-# every shifted tuple of a row, so --n-max 8 already takes seconds.
-_FLAG_VALUES = {("rainbow-emc", "--n-max"): st.integers(-2, 6)}
 
 
 @pytest.fixture(scope="module")
@@ -754,9 +762,8 @@ def test_fuzzed_inputs_keep_exit_code_contract(fuzz_root, data):
     (root / "c.json").write_text(json.dumps(config))
     matching = valid_matching if data.draw(st.booleans(), label="valid M") else str(family)
     argv = [a.format(f=family, d=tuple_dir, m=matching, c=root / "c.json") for a in argv]
-    values = {f: _FLAG_VALUES.get((name, f), _small) for f in required + optional}
-    flags = {f: data.draw(values[f], label=f) for f in required}
-    flags.update({f: data.draw(values[f], label=f) for f in optional if data.draw(st.booleans())})
+    flags = {f: data.draw(_small, label=f) for f in required}
+    flags.update({f: data.draw(_small, label=f) for f in optional if data.draw(st.booleans())})
     if data.draw(st.booleans(), label="seeded"):
         flags["--seed"] = data.draw(_small, label="--seed")
     flags["--format"] = data.draw(st.sampled_from(["json", "csv", "text"]), label="--format")

@@ -293,6 +293,13 @@ class TestExactReport:
         default = exact_eta_report(g, p, t=t).beta_grid
         assert default == beta_tails(hist, total, center, rep.t, default_beta_grid(s))
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_beta_refused_before_the_count(self, beta, monkeypatch):
+        p = Params(n=9, k=3, s=1)
+        monkeypatch.setattr("emcverify.concentration._eta_counts", None)
+        with pytest.raises(ShapeError, match="need finite betas >= 0"):
+            exact_eta_report(star_blocks(p), p, beta_grid=(beta,))
+
 
 class TestTailInequality:
     def test_exact_tails_within_the_bound(self):
@@ -380,6 +387,32 @@ class TestMonteCarlo:
         assert tuple(bt.beta for bt in rep.beta_grid) == (0.5, 2.5)
         with pytest.raises(ShapeError):
             monte_carlo_eta(g, p, trials=0, seed=1)
+
+    def test_pinned_histogram(self):
+        # a seeded histogram; a sampler change must keep it
+        p = Params(n=20, k=3, s=2)
+        rng = random.Random(3)
+        g = SetFamily.from_masks(p.n, 2, [m for m in block_layer(p).members if rng.random() < 0.4])
+        rep = monte_carlo_eta(g, p, trials=400, seed=12)
+        assert len(g) == 47 and rep.t == 5
+        assert rep.eta_histogram == {0: 57, 1: 121, 2: 134, 3: 66, 4: 19, 5: 3}
+        assert rep.empirical_mean == Fraction(339, 200)
+        assert [bt.tail_count for bt in rep.beta_grid] == [22, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_beta_refused_before_any_draw(self, beta, monkeypatch):
+        p = Params(n=9, k=2, s=2)
+        g = star_blocks(p)
+        monkeypatch.setattr("emcverify.concentration.matching_draws", None)
+        with pytest.raises(ShapeError, match="need finite betas >= 0"):
+            monte_carlo_eta(g, p, trials=10, seed=1, beta_grid=(0.5, beta))
+
+    def test_beta_past_the_double_range_of_the_cutoff(self):
+        # 2*beta*sqrt(t) overflows to inf, which no eta reaches
+        p = Params(n=9, k=2, s=2)
+        rep = monte_carlo_eta(star_blocks(p), p, trials=50, seed=1, beta_grid=(0.0, 1e308))
+        assert [bt.tail_count for bt in rep.beta_grid] == [50, 0]
+        assert rep.beta_grid[1].threshold == math.inf
 
     def test_default_grid(self):
         assert default_beta_grid(1) == (0.5, 1.0, 2.0, 3.0)
@@ -475,3 +508,13 @@ class TestEventProbe:
         assert got == (Fraction(e1, trials), Fraction(e2, trials))
         if gamma == 0.75:
             assert 0 < e1 < trials and 0 < e2 < trials
+
+    def test_pinned_frequencies(self):
+        # seeded (E1, E2); a sampler change must keep them
+        p = Params(n=13, k=3, s=2)
+        rng = random.Random(17)
+        layer = list(enumerate_ksets(p.n, p.k))
+        fams = tuple(SetFamily.from_masks(p.n, p.k, [m for m in layer if rng.random() < 0.3])
+                     for _ in range(p.s + 1))
+        assert event_probe(fams, p, 500, 31, gamma=0.75) == (Fraction(1, 50), Fraction(114, 125))
+        assert event_probe(fams, p, 500, 31) == (1, Fraction(114, 125))

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_classic_max, brute_rainbow_max_min
+from conftest import brute_classic_max, brute_rainbow_max_min, fraction_gap_bound
 from emcverify.constructions import (
     build_extremal,
     build_gap_set,
     classic_max_bounded_nu,
+    gap_bound,
     lemma3_bound,
     rainbow_max_min_size,
     size_A_layered,
@@ -151,6 +152,19 @@ class TestCoverBound:
     def test_needs_room(self):
         with pytest.raises(ShapeError):
             lemma3_bound(Params(n=6, k=2, s=3))
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_integer_numerators_equal_the_fraction_terms(self, k):
+        # s' = 3(s+1)/4 for every residue of s, so integral and rational
+        # steps, negative terms at s' < 1, zero terms and n at the edge
+        for s in (0, 1, 2, 3, 99, 2 * 10**6):
+            step = Fraction(3 * (s + 1), 4)
+            for n in {k, math.ceil(step * k) + 1, 3 * (s + 1) * k + 5, 10**6}:
+                assert gap_bound(n, k, step) == fraction_gap_bound(n, k, step), (n, k, s)
+        total, ratios = lemma3_bound(Params(n=10**6, k=k, s=99))
+        oracle_total, oracle_ratios = fraction_gap_bound(10**6, k, 75)
+        assert (total, ratios) == (int(oracle_total), oracle_ratios)
+        assert all(type(r) is Fraction for r in ratios)
 
     def test_convexity_of_tail_counts(self):
         # moving one endpoint of the window outward never shrinks the two-term sum

@@ -12,6 +12,7 @@ from conftest import (
     brute_matchings,
     brute_rainbow,
     random_family,
+    shuffle_draws,
 )
 from emcverify.constructions import build_extremal
 from emcverify.core import (
@@ -335,6 +336,20 @@ class TestSampleMatching:
         p = Params(n=n, k=k, s=s)
         assert sample_matching(p, seed, t).as_sets() == blocks
         assert sorted(next(matching_draws(p, seed, t))) == list(sample_matching(p, seed, t).members)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_stream_is_random_shuffles(self, k):
+        # the draws are random.shuffle's, so seeded outputs never move: the
+        # first 300 draws of every shape that fits, n' = 1..40; a shorter
+        # matching is the first blocks of a longer one from the same shuffles
+        for n_prime in range(1, 41):
+            p = Params(n=n_prime + k, k=k, s=k - 1)
+            fits = [t for t in sorted({0, 1, p.t}) if t * (k - 1) <= n_prime]
+            for seed in (0, 7, 2**40):
+                expected = list(itertools.islice(shuffle_draws(p, seed, fits[-1]), 300))
+                for t in fits:
+                    got = list(itertools.islice(matching_draws(p, seed, t), 300))
+                    assert got == [d[:t] for d in expected], (p, t, seed)
 
     def test_frequencies_on_perfect_partitions(self):
         p = Params(n=8, k=3, s=1)
