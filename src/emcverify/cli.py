@@ -51,8 +51,10 @@ from .transforms import (
     bt_check,
     kk_min_shadow_size,
     lower_shadow,
+    lower_shadow_size,
     shift_closure,
     upper_shadow,
+    upper_shadow_size,
 )
 
 # Documented default seed; override with --seed.
@@ -171,20 +173,22 @@ def cmd_shadow(args):
     fam = read_family(args.input)
     if args.upper is not None:
         direction, target = "upper", args.upper
-        shadow = upper_shadow(fam, target)
+        build, count, step = upper_shadow, upper_shadow_size, target
     else:
         depth = 1 if args.depth is None else args.depth
         direction, target = "lower", fam.k - depth
-        shadow = lower_shadow(fam, depth)
+        build, count, step = lower_shadow, lower_shadow_size, depth
+    shadow = build(fam, step) if args.family_out else None  # built only to be written
+    size = count(fam, step) if shadow is None else len(shadow)
     floor = kk_min_shadow_size(fam.n, fam.k, len(fam), direction, target_size=target)
-    verdict = len(shadow) >= floor
+    verdict = size >= floor
     report = {
         "direction": direction,
         "n": fam.n,
         "k": fam.k,
         "size": len(fam),
         "target_size": target,
-        "shadow_size": len(shadow),
+        "shadow_size": size,
         "kk_min": floor,
         "verdict": verdict,
     }
@@ -502,6 +506,12 @@ def run(argv=None) -> int:
     except (FamilyFormatError, UsageError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a crash is neither a verdict nor a bad input
+        import traceback
+
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     return 0 if verdict else 1
 
 

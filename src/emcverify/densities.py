@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +30,7 @@ from .core import (
     mask_from_elements,
     validate_family_tuple,
 )
-from .transforms import lower_shadow
+from .transforms import lower_shadow_size
 
 
 def decompose(family: SetFamily, y_elements) -> dict[frozenset[int], SetFamily]:
@@ -226,9 +227,14 @@ def theorem3_slack(
     Every member needs some i in [b, k] with |A ∩ [alpha_i]| >= i.  Returns
     beta = min_i C(alpha_i, i - b) / C(alpha_i, i) and the exact slack
     |shadow_b(F)| - beta * |F|; the bound holds iff the slack is >= 0.
+
+    A member inside [alpha_k] meets i = k, so only the members from mask
+    1 << alpha_k up are tested, in ascending order: the first failing member,
+    and so the error, is the one a scan of every member would name.
     """
     beta = _theorem3_beta(family.k, b, tuple(thresholds))
-    for m in family.members:
+    members = family.members
+    for m in members[bisect_left(members, 1 << min(thresholds[-1], family.n)):]:
         if not meets_thresholds(m, b, thresholds):
             raise ShapeError(
                 f"verify_theorem3: member {sorted(elements_from_mask(m))} fails every threshold"
@@ -237,7 +243,7 @@ def theorem3_slack(
 
 
 def _slack(family: SetFamily, b: int, beta: Fraction) -> Fraction:
-    return len(lower_shadow(family, b)) - beta * len(family)
+    return lower_shadow_size(family, b) - beta * len(family)
 
 
 def verify_theorem3(
@@ -253,7 +259,7 @@ def local_lym_sides(family: SetFamily, ground_size: int | None = None) -> tuple[
     m = family.n if ground_size is None else ground_size
     if m < family.k:
         raise ShapeError(f"local_lym_ratio: ground size {m} below uniformity {family.k}")
-    shadow_size = len(lower_shadow(family, 1))
+    shadow_size = lower_shadow_size(family, 1)
     return shadow_size, (m - family.k + 1) * shadow_size, family.k * len(family)
 
 

@@ -108,19 +108,16 @@ def _drop_one(masks) -> set[int]:
     return out
 
 
-def lower_shadow(family: SetFamily, b: int) -> SetFamily:
-    """All (k - b)-subsets of members; depth b with 0 <= b <= k.
-
-    The guard counts |F| * C(k, b) candidates.  A shallow shadow
-    (b <= k - b) steps down one level at a time; no level is wider than
-    that count there.  A deeper one would pass through the middle levels,
-    up to C(k, k/2) sets per member, so it takes the (k - b)-subsets of
-    each member directly.
-    """
+def _lower_masks(family: SetFamily, b: int):
+    # The member masks of lower_shadow(family, b), unsorted; the guard counts
+    # |F| * C(k, b) candidates.  A shallow shadow (b <= k - b) steps down one
+    # level at a time; no level is wider than that count there.  A deeper one
+    # would pass through the middle levels, up to C(k, k/2) sets per member,
+    # so it takes the (k - b)-subsets of each member directly.
     if not (0 <= b <= family.k):
         raise ShapeError(f"lower_shadow: depth {b} outside [0, {family.k}]")
     if b == 0:
-        return family
+        return family.members
     work = len(family) * binomial(family.k, b)
     if work > MATERIALIZATION_CAP:
         raise ShapeError(
@@ -131,23 +128,37 @@ def lower_shadow(family: SetFamily, b: int) -> SetFamily:
         cur = family.members
         for _ in range(b):
             cur = _drop_one(cur)
-    else:
-        cur = {sum(c) for m in family.members for c in combinations(mask_bits(m), t)}
-    return _derived_family(family.n, t, cur)
+        return cur
+    return {sum(c) for m in family.members for c in combinations(mask_bits(m), t)}
 
 
-def upper_shadow(family: SetFamily, u: int) -> SetFamily:
-    """All u-supersets (within the ground set) of members; k <= u <= n.
+def lower_shadow(family: SetFamily, b: int) -> SetFamily:
+    """All (k - b)-subsets of members; depth b with 0 <= b <= k.
 
-    The guard counts |F| * C(n - k, u - k) candidates.  Stepping up one
-    level at a time stays within that count only while u - k <= n - u
-    (every level j <= u - k has C(n - k, j) <= C(n - k, u - k)); otherwise
-    the grown bits are chosen directly among each member's free bits.
+    Refused with a ``ShapeError`` past |F| * C(k, b) > ``MATERIALIZATION_CAP``
+    candidate sets.  ``lower_shadow_size`` gives the size without building
+    the family.
     """
+    masks = _lower_masks(family, b)
+    return family if b == 0 else _derived_family(family.n, family.k - b, masks)
+
+
+def lower_shadow_size(family: SetFamily, b: int) -> int:
+    """``len(lower_shadow(family, b))``, with the same checks and guard, counted
+    on the unsorted candidate set: no family is built."""
+    return len(_lower_masks(family, b))
+
+
+def _upper_masks(family: SetFamily, u: int):
+    # The member masks of upper_shadow(family, u), unsorted; the guard counts
+    # |F| * C(n - k, u - k) candidates.  Stepping up one level at a time stays
+    # within that count only while u - k <= n - u (every level j <= u - k has
+    # C(n - k, j) <= C(n - k, u - k)); otherwise the grown bits are chosen
+    # directly among each member's free bits.
     if not (family.k <= u <= family.n):
         raise ShapeError(f"upper_shadow: target size {u} outside [{family.k}, {family.n}]")
     if u == family.k:
-        return family
+        return family.members
     grow = u - family.k
     work = len(family) * binomial(family.n - family.k, grow)
     if work > MATERIALIZATION_CAP:
@@ -160,12 +171,26 @@ def upper_shadow(family: SetFamily, u: int) -> SetFamily:
         for _ in range(grow):
             # One upper-shadow level: every mask with one free bit set.
             cur = {m | x for m in cur for x in bits if not m & x}
-    else:
-        full = (1 << family.n) - 1
-        cur = {
-            m | sum(c) for m in family.members for c in combinations(mask_bits(full ^ m), grow)
-        }
-    return _derived_family(family.n, u, cur)
+        return cur
+    full = (1 << family.n) - 1
+    return {m | sum(c) for m in family.members for c in combinations(mask_bits(full ^ m), grow)}
+
+
+def upper_shadow(family: SetFamily, u: int) -> SetFamily:
+    """All u-supersets (within the ground set) of members; k <= u <= n.
+
+    Refused with a ``ShapeError`` past |F| * C(n - k, u - k) >
+    ``MATERIALIZATION_CAP`` candidate sets.  ``upper_shadow_size`` gives the
+    size without building the family.
+    """
+    masks = _upper_masks(family, u)
+    return family if u == family.k else _derived_family(family.n, u, masks)
+
+
+def upper_shadow_size(family: SetFamily, u: int) -> int:
+    """``len(upper_shadow(family, u))``, with the same checks and guard, counted
+    on the unsorted candidate set: no family is built."""
+    return len(_upper_masks(family, u))
 
 
 def _largest_top(rest: int, i: int) -> int:
@@ -258,7 +283,7 @@ def bt_check(family: SetFamily, u: int) -> BTCheck:
     k = family.k
     if not (k <= u <= y):
         raise ShapeError(f"bt_check: target size {u} outside [{k}, {y}]")
-    us = len(upper_shadow(family, u))
+    us = upper_shadow_size(family, u)
     g = len(family)
     lhs = us ** (y - k) * binomial(y, k) ** (y - u)
     rhs = g ** (y - u) * binomial(y, u) ** (y - k)
@@ -276,9 +301,14 @@ def enumerate_shifted_families(n: int, k: int):
     """Yield every shifted k-uniform family on [n], the empty family first.
 
     Shifted families are exactly the down-sets of the layer under dominance
-    order, so the walk branches on one colex-maximal candidate at a time:
-    include it (allowed once all its cover predecessors are in) or exclude it
-    together with everything above it.  Deterministic order, no duplicates.
+    order, so the walk branches on one colex candidate at a time: exclude it
+    together with every set that dominates it, or include it.  Cover
+    predecessors precede a set in colex order, so a set may join once no set
+    it dominates was excluded.  The walk is a depth-first stack of
+    (frontier, members) entries: the frontier holds, as index bits, the
+    undecided sets that dominate no excluded set, and its lowest bit is the
+    next branch.  The exclude branch comes first.  Deterministic order, no
+    duplicates.
     """
     layer_size = binomial(n, k)
     if layer_size > SHIFTED_ENUMERATION_GUARD:
@@ -288,22 +318,19 @@ def enumerate_shifted_families(n: int, k: int):
         )
     order = list(enumerate_ksets(n, k, order="colex"))
     index_of = {m: i for i, m in enumerate(order)}
-    preds = [[index_of[p] for p in _cover_predecessors(m)] for m in order]
-    chosen: list[bool] = [False] * layer_size
-    out: list[int] = []
-
-    def walk(pos: int):
-        if pos == len(order):
-            yield _derived_family(n, k, out)
-            return
-        # Exclude order[pos]: every later set dominating it is then also
-        # excluded, which the predecessor check enforces for free.
-        yield from walk(pos + 1)
-        if all(chosen[p] for p in preds[pos]):
-            chosen[pos] = True
-            out.append(order[pos])
-            yield from walk(pos + 1)
-            out.pop()
-            chosen[pos] = False
-
-    yield from walk(0)
+    # above[i]: index bits of the sets dominating order[i], itself included,
+    # built from the top down through cover successors
+    above = [1 << i for i in range(layer_size)]
+    for i in reversed(range(layer_size)):
+        for p in _cover_predecessors(order[i]):
+            above[index_of[p]] |= above[i]
+    stack = [((1 << layer_size) - 1, ())]
+    while stack:
+        frontier, members = stack.pop()
+        if not frontier:
+            yield _derived_family(n, k, members)
+            continue
+        low = frontier & -frontier
+        i = low.bit_length() - 1
+        stack.append((frontier ^ low, members + (order[i],)))
+        stack.append((frontier & ~above[i], members))

@@ -3,8 +3,8 @@
 Every oracle here recomputes its answer from definitions with itertools-style
 enumeration, so library results are checked against a second route rather
 than against themselves.  The two extremal maxima walk every shifted family
-on [n] and reuse the library searches, which are tested against the oracles
-above.
+on [n] by ``recursive_shifted_families`` and reuse the library searches,
+which are tested against the oracles above.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from emcverify.core import SetFamily, binomial, elements_from_mask, mask_from_elements
 from emcverify.matchings import find_rainbow, matching_number
-from emcverify.transforms import enumerate_shifted_families
 
 
 def brute_lower_shadow(family: SetFamily, b: int) -> set[int]:
@@ -67,6 +66,35 @@ def brute_rainbow(families) -> tuple[int, ...] | None:
     return None
 
 
+def recursive_shifted_families(n: int, k: int):
+    """Every shifted k-uniform family on [n], by recursion over the layer in
+    mask order: exclude the next set, then include it if all its cover
+    predecessors (one element lowered one place into a free slot) are in."""
+    order = sorted(mask_from_elements(c) for c in itertools.combinations(range(1, n + 1), k))
+    index_of = {m: i for i, m in enumerate(order)}
+    preds = []
+    for m in order:
+        elems = set(elements_from_mask(m))
+        lowered = [sorted(elems - {e} | {e - 1}) for e in elems if e > 1 and e - 1 not in elems]
+        preds.append([index_of[mask_from_elements(c)] for c in lowered])
+    chosen = [False] * len(order)
+    out: list[int] = []
+
+    def walk(pos: int):
+        if pos == len(order):
+            yield SetFamily.from_masks(n, k, out)
+            return
+        yield from walk(pos + 1)
+        if all(chosen[p] for p in preds[pos]):
+            chosen[pos] = True
+            out.append(order[pos])
+            yield from walk(pos + 1)
+            out.pop()
+            chosen[pos] = False
+
+    yield from walk(0)
+
+
 def brute_classic_max(n: int, k: int, s: int) -> int:
     """Largest shifted family on [n] with matching number <= s, by walking them all.
 
@@ -74,7 +102,7 @@ def brute_classic_max(n: int, k: int, s: int) -> int:
     the largest family of all.  ``matching_number`` is checked against
     ``brute_matching_number`` in tests/test_matchings.py.
     """
-    return max(len(f) for f in enumerate_shifted_families(n, k) if matching_number(f) <= s)
+    return max(len(f) for f in recursive_shifted_families(n, k) if matching_number(f) <= s)
 
 
 def brute_rainbow_max_min(n: int, k: int, s: int) -> int | None:
@@ -84,7 +112,7 @@ def brute_rainbow_max_min(n: int, k: int, s: int) -> int | None:
     The tuples are scanned over the families sorted by size, largest first;
     once a family cannot beat the best min found, its branch is pruned.
     """
-    fams = sorted(enumerate_shifted_families(n, k), key=len, reverse=True)
+    fams = sorted(recursive_shifted_families(n, k), key=len, reverse=True)
     if binomial(len(fams) + s, s + 1) > 10**6:
         return None
     best = 0

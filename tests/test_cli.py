@@ -821,6 +821,18 @@ class TestHarness:
         assert time.perf_counter() - start < 1.0
         assert "csv format is not defined" in capsys.readouterr().err
 
+    def test_crash_is_not_a_verdict(self, capsys, monkeypatch, tmp_path):
+        # exit 1 means a false verdict, so an unexpected exception exits 3
+        def crash(args):
+            raise RuntimeError("handler blew up")
+
+        monkeypatch.setattr("emcverify.cli.cmd_nu", crash)
+        assert run(["nu", "--in", fam_file(tmp_path / "f.txt", 4, 2, (1, 2))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:\nTraceback (most recent call last):")
+        assert captured.err.endswith("RuntimeError: handler blew up\n")
+
     def test_out_writes_file_only(self, capsys, tmp_path):
         target = tmp_path / "r.json"
         assert run(["construct", "--kind", "A", "--n", "6", "--k", "2", "--s", "1",

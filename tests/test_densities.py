@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +16,7 @@ from emcverify.core import (
     SetFamily,
     ShapeError,
     binomial,
+    elements_from_mask,
     enumerate_ksets,
     mask_from_elements,
 )
@@ -302,8 +304,10 @@ class TestSampledSlacks:
 
         monkeypatch.setattr(densities, "meets_thresholds", refuse)
         assert sampled_slacks(p, 5, 20, 4, b, thresholds) == want
-        with pytest.raises(AssertionError):  # the public function keeps its check
-            theorem3_slack(fam(11, 3, (1, 2, 3)), b, thresholds)
+        # the public function keeps its check on members that can fail:
+        # {9, 10, 11} meets neither |A ∩ [5]| >= 2 nor |A ∩ [8]| >= 3
+        with pytest.raises(AssertionError):
+            theorem3_slack(fam(11, 3, (9, 10, 11)), b, (5, 8))
 
 
 class TestTheorem3:
@@ -334,6 +338,32 @@ class TestTheorem3:
             verify_theorem3(f, b=1, thresholds=(5, 5))
         with pytest.raises(ShapeError, match="fails every threshold"):
             verify_theorem3(fam(9, 2, (8, 9)), b=1, thresholds=(2, 5))
+
+    def test_bisected_scan_matches_full_scan(self):
+        # theorem3_slack tests only members above 1 << alpha_k; a scan of every
+        # member must fail exactly when it does, on the same first member
+        rng = random.Random(67)
+        raised = 0
+        for _ in range(400):
+            n = rng.randint(1, 16)
+            k = rng.randint(1, min(5, n))
+            f = random_family(rng, n, k, rng.randint(1, 30))
+            b = rng.randint(0, k)
+            cuts, lowest = [], b
+            for i in range(b, k + 1):
+                cuts.append(rng.randint(max(i, lowest), n + 1 - (k - i)))  # alpha_k >= n at times
+                lowest = cuts[-1] + 1
+            failing = [m for m in f.members
+                       if not any(sum(e <= alpha for e in elements_from_mask(m)) >= i
+                                  for i, alpha in enumerate(cuts, start=b))]
+            if failing:
+                raised += 1
+                named = sorted(elements_from_mask(failing[0]))
+                with pytest.raises(ShapeError, match=rf"member {re.escape(str(named))} fails"):
+                    theorem3_slack(f, b, tuple(cuts))
+            else:
+                theorem3_slack(f, b, tuple(cuts))
+        assert 50 < raised < 350  # both outcomes are exercised
 
     def test_threshold_below_index(self):
         # alpha_1 = 0 < 1: no member meets it, and C(0, 1) = 0 leaves beta undefined

@@ -3,7 +3,12 @@ import time
 
 import pytest
 
-from conftest import brute_lower_shadow, brute_upper_shadow, random_family
+from conftest import (
+    brute_lower_shadow,
+    brute_upper_shadow,
+    random_family,
+    recursive_shifted_families,
+)
 from emcverify.core import SetFamily, ShapeError, binomial, enumerate_ksets
 from emcverify.matchings import matching_number
 from emcverify.transforms import (
@@ -12,9 +17,11 @@ from emcverify.transforms import (
     is_shifted,
     kk_min_shadow_size,
     lower_shadow,
+    lower_shadow_size,
     shift_closure,
     shift_ij,
     upper_shadow,
+    upper_shadow_size,
 )
 
 
@@ -179,9 +186,26 @@ class TestShadows:
             k = rng.randint(0, n)
             f = random_family(rng, n, k, rng.randint(0, binomial(n, k)))
             for b in range(0, k + 1):
-                assert set(lower_shadow(f, b).members) == brute_lower_shadow(f, b)
+                want = brute_lower_shadow(f, b)
+                assert set(lower_shadow(f, b).members) == want
+                assert lower_shadow_size(f, b) == len(want)
             for u in range(k, n + 1):
-                assert set(upper_shadow(f, u).members) == brute_upper_shadow(f, u)
+                want = brute_upper_shadow(f, u)
+                assert set(upper_shadow(f, u).members) == want
+                assert upper_shadow_size(f, u) == len(want)
+
+    @pytest.mark.parametrize("build, count, f, arg", [
+        (lower_shadow, lower_shadow_size, fam(30, 30, tuple(range(1, 31))), 15),  # C(30, 15)
+        (lower_shadow, lower_shadow_size, fam(4, 2, (1, 2)), 3),  # depth above k
+        (upper_shadow, upper_shadow_size, fam(40, 1, (1,)), 20),  # C(39, 19)
+        (upper_shadow, upper_shadow_size, fam(4, 2, (1, 2)), 1),  # target below k
+    ])
+    def test_size_refusals_match_builders(self, build, count, f, arg):
+        with pytest.raises(ShapeError) as built:
+            build(f, arg)
+        with pytest.raises(ShapeError) as counted:
+            count(f, arg)
+        assert str(counted.value) == str(built.value)
 
     def test_deep_shadows_skip_middle_levels(self):
         # Stepping level by level would pass through C(39, 19) or C(30, 15)
@@ -381,6 +405,17 @@ class TestShiftedEnumeration:
     def test_guard(self):
         with pytest.raises(ShapeError):
             list(enumerate_shifted_families(8, 4))
+
+    def test_stack_walk_matches_recursive_walk(self):
+        # every layer the guard admits (C(n, k) <= 36), which needs n <= 36
+        total = 0
+        for n in range(37):
+            for k in range(n + 1):
+                if binomial(n, k) <= 36:
+                    got = [f.members for f in enumerate_shifted_families(n, k)]
+                    assert got == [f.members for f in recursive_shifted_families(n, k)], (n, k)
+                    total += len(got)
+        assert total == 3313
 
     def test_singleton_families_are_prefixes(self):
         got = {tuple(f.as_sets()) for f in enumerate_shifted_families(5, 1)}
