@@ -11,6 +11,8 @@ defined when that is an integer), the sparse one has step 3(s+1).
 The exact maxima behind ``verify emc|rainbow-emc`` walk the shifted families
 on [(s+1)k] once per (k, s): their traces there decide the matching number
 and cross-dependence, and size the largest family on every [n] in closed form.
+The rainbow maximum starts from the classic one and tries only the
+inclusion-minimal traces that rank above it.
 """
 
 from __future__ import annotations
@@ -24,12 +26,6 @@ from .core import (MATERIALIZATION_CAP, Params, SetFamily, ShapeError, _derived_
                    enumerate_ksets, interval_mask, mask_from_elements)
 from .matchings import find_rainbow, matching_number
 from .transforms import enumerate_shifted_families
-
-# rainbow_max_min_size scans no more (s+1)-tuples of traces on [(s+1)k] than
-# this, at any n: (k, s) = (2, 2) has 5,984 and (3, 1) 2,211; (2, 3) has
-# 11,716,640.  On a 2-vCPU VM a scan of 357,760 tuples took 1.5 s.
-RAINBOW_TUPLE_GUARD = 1_000_000
-
 
 def _require_kind(kind: str) -> str:
     if kind not in ("A", "B"):
@@ -87,21 +83,36 @@ def classic_max_bounded_nu(n: int, k: int, s: int) -> int:
 def rainbow_max_min_size(n: int, k: int, s: int) -> int:
     """Largest min-size over cross-dependent (s+1)-tuples of families on [n].
 
-    The traces on [m] decide, as in ``classic_max_bounded_nu``.  Each ranked
-    trace is tried with every nondecreasing s-tuple of the traces up to it;
-    more than RAINBOW_TUPLE_GUARD (s+1)-tuples are refused before the scan.
+    The traces on [m] decide, as in ``classic_max_bounded_nu``, which is a
+    floor: a family F with matching number <= s makes the cross-dependent tuple
+    (F, ..., F).  The ranked traces above the floor are tried largest first,
+    each with every nondecreasing s-tuple of the inclusion-minimal traces kept
+    so far, and the first that closes a cross-dependent tuple gives the answer.
+    This is exact:
+
+    - for traces T ⊊ T', every b in T' - T is in the closure of T' and not of
+      T, so a superset always ranks before its subset, and the kept traces are
+      the minimal ones among all traces up to the current rank;
+    - shrinking a family keeps a tuple cross-dependent, so the first rank that
+      closes a cross-dependent tuple over all traces up to it closes one over
+      the kept traces, and a tuple without the current trace was tried before.
+
+    k = 0 is refused: there s + 1 copies of ∅ count as a rainbow, though
+    ν({∅}) = 1, so the floor fails.
     """
+    if k < 1:
+        raise ShapeError(f"k must be >= 1, got {k}")
     if n < (s + 1) * k:
         return binomial(n, k)
-    ranked = _ranked_traces(n, k, s)
-    tuples = binomial(len(ranked) + s, s + 1)
-    if tuples > RAINBOW_TUPLE_GUARD:
-        raise ShapeError(f"rainbow_max_min_size: {tuples} tuples of {len(ranked)} shifted "
-                         f"families on [{(s + 1) * k}] exceed guard {RAINBOW_TUPLE_GUARD}")
-    # the first rank that closes a cross-dependent tuple of ranks up to it is the answer
-    for i, (size, trace) in enumerate(ranked):
-        for rest in itertools.combinations_with_replacement(ranked[:i + 1], s):
-            if not find_rainbow((*(t for _, t in rest), trace)).complete:
+    floor = classic_max_bounded_nu(n, k, s)
+    kept: list[SetFamily] = []
+    for size, trace in _ranked_traces(n, k, s):
+        if size <= floor:
+            return floor
+        members = set(trace.members)
+        kept = [t for t in kept if not members.issubset(t.members)] + [trace]
+        for rest in itertools.combinations_with_replacement(kept, s):
+            if not find_rainbow((*rest, trace)).complete:
                 return size
 
 

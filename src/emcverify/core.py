@@ -19,7 +19,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
 
@@ -213,9 +212,11 @@ def validate_family_tuple(families: Sequence[SetFamily], s: int | None = None) -
         raise ShapeError(f"tuple has {len(families)} families, expected s+1={s + 1}")
 
 
-def _colex_masks(n: int, k: int) -> Iterator[int]:
-    """The k-subsets of [n] as increasing masks (colex order), each found
+def enumerate_ksets(n: int, k: int) -> Iterator[int]:
+    """Stream the k-subsets of [n] as increasing masks (colex order), each found
     from the last by Gosper's step to the next larger mask of popcount k."""
+    if k < 0 or n < 0:
+        raise ShapeError(f"bad layer n={n} k={k}")
     mask, top = (1 << k) - 1, 1 << n
     while mask < top:
         yield mask
@@ -224,27 +225,6 @@ def _colex_masks(n: int, k: int) -> Iterator[int]:
         low = mask & -mask
         ripple = mask + low
         mask = ripple | (((mask ^ ripple) >> 2) // low)
-
-
-def enumerate_ksets(n: int, k: int, order: str = "colex") -> Iterator[int]:
-    """Stream all k-subsets of [n] as masks, in colex or lex order."""
-    if k < 0 or n < 0:
-        raise ShapeError(f"bad layer n={n} k={k}")
-    if order == "colex":
-        yield from _colex_masks(n, k)
-    elif order == "lex":
-        for c in combinations(range(1, n + 1), k):
-            yield mask_from_elements(c)
-    else:
-        raise ShapeError(f"unknown order {order!r}")
-
-
-def lex_initial_family(n: int, k: int, m: int, order: str = "lex") -> SetFamily:
-    """The first m k-sets of [n] in the given order."""
-    total = binomial(n, k)
-    if not 0 <= m <= total:
-        raise ShapeError(f"family size {m} outside [0, C({n},{k})={total}]")
-    return _derived_family(n, k, islice(enumerate_ksets(n, k, order), m))
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def enumerate_shifted_families(n: int, k: int):
             f"enumerate_shifted_families: C({n},{k}) = {layer_size} exceeds guard "
             f"{SHIFTED_ENUMERATION_GUARD}"
         )
-    order = list(enumerate_ksets(n, k, order="colex"))
+    order = list(enumerate_ksets(n, k))
     index_of = {m: i for i, m in enumerate(order)}
     # above[i]: index bits of the sets dominating order[i], itself included,
     # built from the top down through cover successors

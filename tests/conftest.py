@@ -4,7 +4,8 @@ Every oracle here recomputes its answer from definitions with itertools-style
 enumeration, so library results are checked against a second route rather
 than against themselves.  The two extremal maxima walk every shifted family
 on [n] by ``recursive_shifted_families`` and reuse the library searches,
-which are tested against the oracles above.
+which are tested against the oracles above.  ``ranked_tuple_scan`` tries every
+tuple of ranked traces, with no floor and no inclusion argument.
 """
 
 from __future__ import annotations
@@ -133,6 +134,21 @@ def brute_rainbow_max_min(n: int, k: int, s: int) -> int | None:
 
     rec(0)
     return best
+
+
+def ranked_tuple_scan(ranked, s: int) -> int | None:
+    """Largest min-size over cross-dependent (s+1)-tuples of the families in
+    ``ranked``, (size, family) pairs sorted largest first, or None if none is.
+
+    Each ranked family is tried with every nondecreasing s-tuple of the
+    families up to it, and the first that closes a cross-dependent tuple gives
+    the answer: every tuple is tried, with no floor and no inclusion argument.
+    """
+    for i, (size, family) in enumerate(ranked):
+        for rest in itertools.combinations_with_replacement(ranked[:i + 1], s):
+            if not find_rainbow((*(f for _, f in rest), family)).complete:
+                return size
+    return None
 
 
 def law_mean(dist) -> Fraction:

@@ -369,15 +369,21 @@ class TestVerifyGrids:
         assert by_key[(4, 2, 1)]["found"] == 3
         assert by_key[(5, 2, 1)]["found"] == 4
 
-    def test_rainbow_rows_past_the_tuple_guard_skipped(self, capsys):
-        start = time.perf_counter()
+    def test_rainbow_rows_with_k2_s3_decided(self, capsys):
+        # (2, 3) has 128 traces on [8]; only the minimal ones above the floor are scanned
         code, rep = run_json(capsys, ["verify", "rainbow-emc", "--n-max", "9", "--k-max", "2",
                                       "--s-max", "3"])
+        assert code == 0 and rep["all_ok"]
+        assert len(rep["rows"]) == 33 and all(r["verdict"] for r in rep["rows"])
+        assert {(r["n"], r["s"]) for r in rep["rows"] if r["k"] == 2 and r["s"] == 3} == {(8, 3), (9, 3)}
+
+    def test_rainbow_k1_up_to_s12_decided_in_seconds(self, capsys):
+        start = time.perf_counter()
+        code, rep = run_json(capsys, ["verify", "rainbow-emc", "--n-max", "14", "--k-max", "1",
+                                      "--s-max", "12"])
         assert time.perf_counter() - start < 5.0
         assert code == 0 and rep["all_ok"]
-        skipped = {(r["n"], r["k"], r["s"]) for r in rep["rows"] if "skipped" in r}
-        assert skipped == {(8, 2, 3), (9, 2, 3)}
-        assert all(r["verdict"] for r in rep["rows"] if "skipped" not in r)
+        assert len(rep["rows"]) == 90 and all(r["verdict"] for r in rep["rows"])
 
     def test_emc_csv(self, capsys):
         assert run(["verify", "emc", "--n-max", "4", "--k-max", "2",

@@ -1,11 +1,14 @@
+import itertools
 import math
-import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_classic_max, brute_rainbow_max_min, fraction_gap_bound
+from conftest import brute_classic_max, brute_rainbow_max_min, fraction_gap_bound, ranked_tuple_scan
+from emcverify import constructions
 from emcverify.constructions import (
+    _ranked_traces,
+    _trace_walk,
     build_extremal,
     build_gap_set,
     classic_max_bounded_nu,
@@ -16,7 +19,8 @@ from emcverify.constructions import (
     size_extremal,
 )
 from emcverify.core import Params, ShapeError, binomial, elements_from_mask
-from emcverify.matchings import matching_number
+from emcverify.matchings import find_rainbow, matching_number
+from emcverify.transforms import SHIFTED_ENUMERATION_GUARD
 
 
 class TestSizes:
@@ -179,18 +183,15 @@ class TestCoverBound:
 
 
 class TestRainbowGuard:
-    @pytest.mark.parametrize("n, k, s, tuples", [(8, 2, 3, 11_716_640), (12, 1, 11, 2_704_156)])
-    def test_refused_before_the_tuple_scan(self, n, k, s, tuples):
-        # C(F + s, s + 1) nondecreasing (s+1)-tuples of the F shifted families
-        # on [(s+1)k]: 128 on [8] for k = 2, 13 on [12] for k = 1
-        start = time.perf_counter()
-        with pytest.raises(ShapeError, match=f"{tuples} tuples of .* exceed guard 1000000"):
-            rainbow_max_min_size(n, k, s)
-        assert time.perf_counter() - start < 1.0
+    @pytest.mark.parametrize("n, s", [(0, 0), (3, 2), (12, 11)])
+    def test_k_zero_refused(self, n, s):
+        # the classic floor fails at k = 0: s + 1 copies of the empty set form
+        # a rainbow matching, though the family {empty set} has nu = 1
+        with pytest.raises(ShapeError, match="k must be >= 1, got 0"):
+            rainbow_max_min_size(n, 0, s)
 
     def test_rows_under_the_guard_still_decided(self):
-        # 32 shifted families on [6] give C(34, 3) = 5,984 tuples at every n; the
-        # families on [9] gave 2,829,056, so (9, 2, 2) was refused before the traces
+        # the 32 shifted families on [6] decide (k, s) = (2, 2) at every n
         for n, want in ((6, 10), (9, 15)):
             p = Params(n, 2, 2)
             assert rainbow_max_min_size(n, 2, 2) == max(size_extremal(p, "A"),
@@ -208,13 +209,68 @@ class TestTraceMaxima:
             assert classic_max_bounded_nu(n, k, s) == brute_classic_max(n, k, s), (n, k, s)
 
     def test_rainbow_equals_the_walk_on_n(self):
-        decided = 0
+        decided = refused = 0
         for n, k, s in _ORACLE_GRID:
+            if k == 0:
+                with pytest.raises(ShapeError, match="k must be >= 1"):
+                    rainbow_max_min_size(n, k, s)
+                refused += 1
+                continue
             want = brute_rainbow_max_min(n, k, s)
             if want is not None:  # at most 10^6 tuples
                 assert rainbow_max_min_size(n, k, s) == want, (n, k, s)
                 decided += 1
-        assert decided == 379  # of the 420 points
+        assert (decided, refused) == (288, 91)  # of the 420 points
+
+    def test_rainbow_equals_the_ranked_tuple_scan(self):
+        # the scan of every tuple of ranked traces, wherever it is cheap: at
+        # most 20,000 (s+1)-tuples of the traces on [(s+1)k]
+        decided = 0
+        for k, s in itertools.product(range(1, 4), range(1, 8)):
+            if binomial((s + 1) * k, k) > SHIFTED_ENUMERATION_GUARD:
+                continue
+            if binomial(len(_trace_walk(k, s)) + s, s + 1) > 20_000:
+                continue
+            for n in range((s + 1) * k, 61):
+                want = ranked_tuple_scan(_ranked_traces(n, k, s), s)
+                assert rainbow_max_min_size(n, k, s) == want, (n, k, s)
+                decided += 1
+        assert decided == 559
+
+    @pytest.mark.parametrize("n, k, s", [(7, 1, 5), (10, 2, 2), (9, 2, 3), (9, 3, 1)])
+    def test_every_tuple_of_minimal_traces_is_tried(self, monkeypatch, n, k, s):
+        # every row the oracles reach equals the floor, so they cannot see a scan
+        # that tries too little: the spy checks that each trace above the floor
+        # meets every nondecreasing s-tuple of the minimal traces ranked up to it
+        tried = set()
+
+        def spy(families):
+            tried.add(tuple(sorted(f.members for f in families)))
+            return find_rainbow(families)
+
+        monkeypatch.setattr(constructions, "find_rainbow", spy)
+        floor = classic_max_bounded_nu(n, k, s)
+        assert rainbow_max_min_size(n, k, s) == floor
+        above = [t for size, t in _ranked_traces(n, k, s) if size > floor]
+        assert above
+        for i, trace in enumerate(above):
+            up_to = [set(t.members) for t in above[:i + 1]]
+            minimal = [t for t, m in zip(above, up_to) if not any(u < m for u in up_to)]
+            for rest in itertools.combinations_with_replacement(minimal, s):
+                assert tuple(sorted(f.members for f in (*rest, trace))) in tried, (n, k, s, i)
+
+    def test_strict_inclusion_of_traces_means_smaller_closures(self):
+        # why the minimal traces suffice: a superset never ranks after its subset
+        walked = [(k, s) for k in range(1, 4) for s in range(1, 36)
+                  if binomial((s + 1) * k, k) <= SHIFTED_ENUMERATION_GUARD]
+        assert len(walked) == 35 + 3 + 1
+        for k, s in walked:
+            m = (s + 1) * k
+            for n in {m, m + 1, m + 7, 60}:
+                ranked = [(size, set(t.members)) for size, t in _ranked_traces(n, k, s)]
+                for (size, t), (size2, t2) in itertools.product(ranked, repeat=2):
+                    if t < t2:
+                        assert size < size2, (n, k, s)
 
     @pytest.mark.parametrize("k, s", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)])
     def test_conjectured_value_up_to_n_60(self, k, s):
@@ -222,5 +278,4 @@ class TestTraceMaxima:
             p = Params(n, k, s)
             want = max(size_extremal(p, "A"), size_extremal(p, "B"))
             assert classic_max_bounded_nu(n, k, s) == want, n
-            if (k, s) != (2, 3):  # its 11,716,640 tuples of traces exceed the guard
-                assert rainbow_max_min_size(n, k, s) == want, n
+            assert rainbow_max_min_size(n, k, s) == want, n

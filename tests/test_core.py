@@ -24,7 +24,6 @@ from emcverify.core import (
     family_to_json,
     family_to_text,
     interval_mask,
-    lex_initial_family,
     e_enclosures,
     mask_from_elements,
     parse_family_text,
@@ -153,67 +152,31 @@ class TestParams:
 
 class TestEnumeration:
     def test_colex_small(self):
-        got = [elements_from_mask(m) for m in enumerate_ksets(3, 2, "colex")]
+        got = [elements_from_mask(m) for m in enumerate_ksets(3, 2)]
         assert got == [(1, 2), (1, 3), (2, 3)]
 
-    def test_lex_small(self):
-        got = [elements_from_mask(m) for m in enumerate_ksets(4, 2, "lex")]
-        assert got == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-
     def test_order_oracles(self):
-        # colex sorts by reversed tuple, lex by the tuple itself
+        # colex sorts by reversed tuple
         for n in range(0, 9):
             for k in range(0, n + 1):
-                colex = [elements_from_mask(m) for m in enumerate_ksets(n, k, "colex")]
+                colex = [elements_from_mask(m) for m in enumerate_ksets(n, k)]
                 assert colex == sorted(colex, key=lambda c: tuple(reversed(c)))
-                lex = [elements_from_mask(m) for m in enumerate_ksets(n, k, "lex")]
-                assert lex == sorted(lex)
 
     def test_complete_and_duplicate_free(self):
         for n in range(0, 13):
             for k in range(0, n + 1):
-                for order in ("colex", "lex"):
-                    masks = list(enumerate_ksets(n, k, order))
-                    assert len(masks) == binomial(n, k)
-                    assert len(set(masks)) == len(masks)
-                    assert all(m.bit_count() == k for m in masks)
+                masks = list(enumerate_ksets(n, k))
+                assert len(masks) == binomial(n, k)
+                assert len(set(masks)) == len(masks)
+                assert all(m.bit_count() == k for m in masks)
 
     def test_colex_is_mask_order(self):
         for n in range(0, 10):
-            masks = list(enumerate_ksets(n, 3, "colex"))
+            masks = list(enumerate_ksets(n, 3))
             assert masks == sorted(masks)
-
-    def test_bad_order(self):
-        with pytest.raises(ShapeError):
-            list(enumerate_ksets(3, 2, "middle"))
 
     def test_colex_deep_layer_does_not_recurse(self):
         assert next(enumerate_ksets(2000, 1000)) == (1 << 1000) - 1
-
-
-class TestLexInitial:
-    def test_examples(self):
-        fam = lex_initial_family(4, 2, 3, order="lex")
-        assert fam.as_sets() == [(1, 2), (1, 3), (1, 4)]
-        fam = lex_initial_family(4, 2, 3, order="colex")
-        assert fam.as_sets() == [(1, 2), (1, 3), (2, 3)]
-
-    def test_extremes(self):
-        assert len(lex_initial_family(5, 2, 0)) == 0
-        full = lex_initial_family(4, 3, 4, order="colex")
-        assert len(full) == binomial(4, 3)
-
-    def test_overflow_raises(self):
-        with pytest.raises(ShapeError):
-            lex_initial_family(4, 2, 7)
-
-    def test_prefix_nesting(self):
-        for order in ("lex", "colex"):
-            prev: set[int] = set()
-            for m in range(binomial(6, 3) + 1):
-                cur = set(lex_initial_family(6, 3, m, order).members)
-                assert prev <= cur and len(cur) == m
-                prev = cur
 
 
 class TestSetFamily:
@@ -425,8 +388,6 @@ _DERIVED = {
     "slice_partition": lambda f, rng: list(slice_partition(f, rng.randint(0, 2))),
     "build_extremal": lambda f, rng: [
         build_extremal(Params(n=9, k=3, s=rng.randint(1, 2)), kind) for kind in "AB"],
-    "lex_initial_family": lambda f, rng: [
-        lex_initial_family(7, 3, rng.randint(0, 35), order) for order in ("lex", "colex")],
     "enumerate_shifted_families": lambda f, rng: rng.sample(list(enumerate_shifted_families(6, 2)), 5),
     "random_condition_family": lambda f, rng: [
         random_condition_family(Params(n=12, k=3, s=0), rng.randint(0, 40), rng)],

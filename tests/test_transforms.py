@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations, islice
 
 import pytest
 
@@ -9,7 +10,7 @@ from conftest import (
     random_family,
     recursive_shifted_families,
 )
-from emcverify.core import SetFamily, ShapeError, binomial, enumerate_ksets
+from emcverify.core import SetFamily, ShapeError, binomial, enumerate_ksets, mask_from_elements
 from emcverify.matchings import matching_number
 from emcverify.transforms import (
     bt_check,
@@ -292,12 +293,10 @@ class TestKruskalKatona:
             assert kk_min_shadow_size(n, k, m, direction, target_size=target) == minima[m]
 
     def test_initial_segments_attain_lower(self):
-        from emcverify.core import lex_initial_family
-
         for n in (5, 6, 7):
             for k in (2, 3):
                 for m in range(binomial(n, k) + 1):
-                    colex = lex_initial_family(n, k, m, order="colex")
+                    colex = SetFamily.from_masks(n, k, islice(enumerate_ksets(n, k), m))
                     got = len(lower_shadow(colex, 1)) if m else 0
                     assert got == kk_min_shadow_size(n, k, m, "lower")
 
@@ -306,10 +305,12 @@ class TestKruskalKatona:
         # every n <= 8, k (0 and n included), m and target: the floor is the
         # shadow size of the first m k-sets in colex (lower) or lex (upper)
         # order, with shadows taken by the brute-force oracles
-        order = "colex" if direction == "lower" else "lex"
         for n in range(0, 9):
             for k in range(0, n + 1):
-                layer = list(enumerate_ksets(n, k, order=order))
+                if direction == "lower":
+                    layer = list(enumerate_ksets(n, k))
+                else:
+                    layer = [mask_from_elements(c) for c in combinations(range(1, n + 1), k)]
                 targets = range(0, k + 1) if direction == "lower" else range(k, n + 1)
                 for t in targets:
                     shadow: set[int] = set()
